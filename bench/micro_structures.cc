@@ -324,20 +324,41 @@ BM_CpuAdvance(benchmark::State &state)
 }
 BENCHMARK(BM_CpuAdvance);
 
-/** One LLC probe; footprint arg (log2 bytes) sets the hit/miss mix. */
+/**
+ * One LLC probe. Arg 0 (log2 bytes) is the footprint, which sets the
+ * hit/miss mix of random probes. Arg 1 = 1 walks four interleaved
+ * sequential streams instead, so the prefetcher trains and most
+ * tag-store fills are prefetch installs (the fill/victim path). Either
+ * way every burst is installed as Cpu::doAccess does for touched pages.
+ */
 static void
 BM_CacheAccess(benchmark::State &state)
 {
     Cache cache(SimConfig{}.cache);
-    const Addr mask = (Addr{1} << state.range(0)) - 1;
+    const unsigned log2_bytes = static_cast<unsigned>(state.range(0));
+    const Addr mask = (Addr{1} << log2_bytes) - 1;
+    const bool streaming = state.range(1) != 0;
     Rng rng(9);
+    std::uint64_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cache.access(rng.next() & mask & ~Addr{LineBytes - 1}));
+        // Stream i % 4 starts a quarter of the footprint after the
+        // previous one and advances one line per visit.
+        const Addr vaddr =
+            streaming ? ((i % 4) << (log2_bytes - 2)) + (i / 4) * LineBytes
+                      : rng.next();
+        i++;
+        const CacheResult r =
+            cache.access(vaddr & mask & ~Addr{LineBytes - 1});
+        if (r.prefetchLines > 0)
+            cache.installPrefetches(r.prefetchStart, r.prefetchLines);
+        benchmark::DoNotOptimize(r);
     }
     state.SetItemsProcessed(state.iterations());
+    state.counters["prefetch_fill_frac"] = static_cast<double>(
+        cache.prefetchIssued()) /
+        static_cast<double>(cache.prefetchIssued() + cache.misses());
 }
-BENCHMARK(BM_CacheAccess)->Arg(22)->Arg(28);
+BENCHMARK(BM_CacheAccess)->Args({22, 0})->Args({28, 0})->Args({22, 1});
 
 /**
  * The single-PageMeta placement + LRU-membership resolve the CPU does

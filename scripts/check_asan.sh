@@ -27,7 +27,7 @@ fi
 
 cmake -B "$build" -S "$repo" -DPACT_SANITIZE=address
 cmake --build "$build" -j --target test_robustness test_txn test_pool \
-    test_trace_store test_multicore
+    test_trace_store test_multicore test_cache
 
 # halt_on_error so the first report fails the script rather than
 # scrolling past; the robustness tests drive every fault class plus
@@ -44,6 +44,12 @@ PACT_JOBS=4 ASAN_OPTIONS="halt_on_error=1" \
     UBSAN_OPTIONS="halt_on_error=1" "$build/tests/test_pool"
 PACT_JOBS=4 ASAN_OPTIONS="halt_on_error=1" \
     UBSAN_OPTIONS="halt_on_error=1" "$build/tests/test_trace_store"
+
+# The LLC tag store indexes each set through raw pointers into its
+# tag/stamp block; the differential test drives every associativity
+# the model is tested at.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    "$build/tests/test_cache"
 
 # Multi-tenant engine with 4 tenants on shared tiers: per-tenant
 # PEBS/PMU/daemon state plus the flat core array is exactly the kind

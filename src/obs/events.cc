@@ -93,18 +93,16 @@ EventJournal::events() const
 void
 EventJournal::writeJsonl(std::ostream &os) const
 {
-    {
-        JsonWriter w(os);
-        w.beginObject();
-        w.kv("schema", EventsSchema);
-        w.kv("capacity", static_cast<std::uint64_t>(ring_.size()));
-        w.kv("emitted", emitted_);
-        w.kv("dropped", dropped());
-        w.endObject();
-        os << '\n';
-    }
+    // One writer for every line: each line is a complete document.
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("schema", EventsSchema);
+    w.kv("capacity", static_cast<std::uint64_t>(ring_.size()));
+    w.kv("emitted", emitted_);
+    w.kv("dropped", dropped());
+    w.endObject();
+    os << '\n';
     for (const PageEvent &e : events()) {
-        JsonWriter w(os);
         w.beginObject();
         w.kv("seq", e.seq);
         w.kv("now", e.now);

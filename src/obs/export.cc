@@ -1,7 +1,9 @@
 #include "obs/export.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -11,8 +13,52 @@ namespace pact
 namespace obs
 {
 
+namespace
+{
+
+/** Whether @p c must be escaped inside a JSON string. */
+bool
+needsEscape(unsigned char c)
+{
+    return c < 0x20 || c == '"' || c == '\\';
+}
+
+/** Longest text formatNumber() writes, "-1.2345678901234567e-308". */
+constexpr std::size_t NumberChars = 32;
+
+/** jsonNumber() into @p buf (NumberChars bytes); returns the length. */
+std::size_t
+formatNumber(double v, char *buf)
+{
+    if (!std::isfinite(v)) {
+        std::memcpy(buf, "null", 4);
+        return 4;
+    }
+    // Counters are exact integers up to 2^53; print them without a
+    // fraction so deltas diff cleanly.
+    if (v == std::rint(v) && std::fabs(v) < 9.007199254740992e15) {
+        const long long n = static_cast<long long>(v);
+        return static_cast<std::size_t>(
+            std::to_chars(buf, buf + NumberChars, n).ptr - buf);
+    }
+    return static_cast<std::size_t>(
+        std::snprintf(buf, NumberChars, "%.17g", v));
+}
+
+/** Append the decimal text of @p v (what ostream << prints). */
+template <typename Int>
+void
+appendDecimal(std::string &out, Int v)
+{
+    char buf[NumberChars];
+    const char *end = std::to_chars(buf, buf + NumberChars, v).ptr;
+    out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+} // namespace
+
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -49,26 +95,27 @@ jsonEscape(const std::string &s)
 std::string
 jsonNumber(double v)
 {
-    if (!std::isfinite(v))
-        return "null";
-    // Counters are exact integers up to 2^53; print them without a
-    // fraction so deltas diff cleanly.
-    if (v == std::rint(v) && std::fabs(v) < 9.007199254740992e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    char buf[NumberChars];
+    return std::string(buf, formatNumber(v, buf));
+}
+
+JsonWriter::~JsonWriter()
+{
+    flush();
+}
+
+void
+JsonWriter::flush()
+{
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
 }
 
 JsonWriter &
 JsonWriter::beginObject()
 {
     preValue();
-    os_ << '{';
+    buf_ += '{';
     stack_.push_back('{');
     started_.push_back(false);
     return *this;
@@ -79,9 +126,10 @@ JsonWriter::endObject()
 {
     panic_if(stack_.empty() || stack_.back() != '{' || pendingKey_,
              "JsonWriter: mismatched endObject");
-    os_ << '}';
+    buf_ += '}';
     stack_.pop_back();
     started_.pop_back();
+    endValue();
     return *this;
 }
 
@@ -89,7 +137,7 @@ JsonWriter &
 JsonWriter::beginArray()
 {
     preValue();
-    os_ << '[';
+    buf_ += '[';
     stack_.push_back('[');
     started_.push_back(false);
     return *this;
@@ -100,21 +148,37 @@ JsonWriter::endArray()
 {
     panic_if(stack_.empty() || stack_.back() != '[',
              "JsonWriter: mismatched endArray");
-    os_ << ']';
+    buf_ += ']';
     stack_.pop_back();
     started_.pop_back();
+    endValue();
     return *this;
 }
 
+void
+JsonWriter::writeString(std::string_view s)
+{
+    buf_ += '"';
+    bool plain = true;
+    for (unsigned char c : s)
+        plain &= !needsEscape(c);
+    if (plain)
+        buf_ += s;
+    else
+        buf_ += jsonEscape(s);
+    buf_ += '"';
+}
+
 JsonWriter &
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     panic_if(stack_.empty() || stack_.back() != '{' || pendingKey_,
              "JsonWriter: key() outside an object");
     if (started_.back())
-        os_ << ',';
+        buf_ += ',';
     started_.back() = true;
-    os_ << '"' << jsonEscape(k) << "\":";
+    writeString(k);
+    buf_ += ':';
     pendingKey_ = true;
     return *this;
 }
@@ -130,30 +194,34 @@ JsonWriter::preValue()
         panic_if(stack_.back() == '{',
                  "JsonWriter: value in object without key");
         if (started_.back())
-            os_ << ',';
+            buf_ += ',';
         started_.back() = true;
     }
 }
 
-JsonWriter &
-JsonWriter::value(const std::string &s)
+void
+JsonWriter::endValue()
 {
-    preValue();
-    os_ << '"' << jsonEscape(s) << '"';
-    return *this;
+    if (stack_.empty())
+        flush();
 }
 
 JsonWriter &
-JsonWriter::value(const char *s)
+JsonWriter::value(std::string_view s)
 {
-    return value(std::string(s));
+    preValue();
+    writeString(s);
+    endValue();
+    return *this;
 }
 
 JsonWriter &
 JsonWriter::value(double v)
 {
     preValue();
-    os_ << jsonNumber(v);
+    char buf[NumberChars];
+    buf_.append(buf, formatNumber(v, buf));
+    endValue();
     return *this;
 }
 
@@ -161,7 +229,8 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     preValue();
-    os_ << v;
+    appendDecimal(buf_, v);
+    endValue();
     return *this;
 }
 
@@ -169,7 +238,8 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     preValue();
-    os_ << v;
+    appendDecimal(buf_, v);
+    endValue();
     return *this;
 }
 
@@ -177,7 +247,8 @@ JsonWriter &
 JsonWriter::value(bool b)
 {
     preValue();
-    os_ << (b ? "true" : "false");
+    buf_ += b ? "true" : "false";
+    endValue();
     return *this;
 }
 

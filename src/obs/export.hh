@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,7 +51,7 @@ inline constexpr const char *TimeSeriesSchema = "pact.timeseries/2";
 inline constexpr const char *EventsSchema = "pact.events/1";
 
 /** Escape a string for embedding inside JSON double quotes. */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /**
  * Deterministic JSON number formatting: integral values (within the
@@ -64,11 +65,18 @@ std::string jsonNumber(double v);
 /**
  * Minimal streaming JSON writer with comma/nesting bookkeeping.
  * Compact output (no whitespace) so artifact bytes are canonical.
+ * A document is built in memory and reaches the stream in one write
+ * when it is complete (depth() back to 0); the destructor writes out
+ * an unfinished one. The same writer can then start the next
+ * document, which is how JSONL lines share a writer.
  */
 class JsonWriter
 {
   public:
     explicit JsonWriter(std::ostream &os) : os_(os) {}
+    ~JsonWriter();
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     JsonWriter &beginObject();
     JsonWriter &endObject();
@@ -76,10 +84,11 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Key inside the current object; follow with a value or begin*. */
-    JsonWriter &key(const std::string &k);
+    JsonWriter &key(std::string_view k);
 
-    JsonWriter &value(const std::string &s);
-    JsonWriter &value(const char *s);
+    JsonWriter &value(std::string_view s);
+    /** Without this, a string literal would convert to bool. */
+    JsonWriter &value(const char *s) { return value(std::string_view(s)); }
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(std::int64_t v);
@@ -89,7 +98,7 @@ class JsonWriter
     /** key+value in one call. */
     template <typename T>
     JsonWriter &
-    kv(const std::string &k, const T &v)
+    kv(std::string_view k, const T &v)
     {
         key(k);
         return value(v);
@@ -100,8 +109,15 @@ class JsonWriter
 
   private:
     void preValue();
+    /** After a value or a closed container: flush a complete document. */
+    void endValue();
+    void flush();
+    /** Write @p s quoted, escaping only when some byte needs it. */
+    void writeString(std::string_view s);
 
     std::ostream &os_;
+    /** Text of the document in progress. */
+    std::string buf_;
     /** Per-level "a value has been emitted" flag. */
     std::vector<bool> started_;
     std::vector<char> stack_;

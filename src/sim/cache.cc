@@ -1,5 +1,7 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
+
 #include "common/error.hh"
 #include "common/logging.hh"
 
@@ -37,8 +39,10 @@ Cache::Cache(const CacheParams &params) : params_(params)
     while (sets_ & (sets_ - 1))
         sets_ &= sets_ - 1;
     assoc_ = params.assoc;
-    ways_.assign(sets_ * assoc_, Way{});
+    tagStamps_.resize(2 * sets_ * assoc_);
+    prefetched_.resize(sets_ * assoc_);
     streams_.assign(params.prefetchStreams, Stream{});
+    reset();
 }
 
 bool
@@ -46,37 +50,39 @@ Cache::lookupFill(std::uint64_t line, bool prefetch_fill,
                   bool &was_prefetched)
 {
     const std::size_t set = hashLine(line) & (sets_ - 1);
-    Way *base = &ways_[set * assoc_];
+    std::uint64_t *tags = &tagStamps_[2 * set * assoc_];
+    std::uint64_t *stamps = tags + assoc_;
+    std::uint8_t *prefetched = &prefetched_[set * assoc_];
     clock_++;
 
-    // Pure tag scan first: hits (the common case) skip the victim
-    // bookkeeping entirely.
-    for (unsigned w = 0; w < assoc_; w++) {
-        Way &way = base[w];
-        if (way.valid && way.tag == line) {
-            was_prefetched = way.prefetched;
-            way.prefetched = false; // demand hit clears the mark
-            way.stamp = clock_;
-            return true;
-        }
+    // Tag select without an early exit: a line sits in at most one
+    // way, so the last match is the only one, and the loop has no
+    // data-dependent branch to mispredict.
+    unsigned hit = assoc_;
+    for (unsigned w = 0; w < assoc_; w++)
+        hit = tags[w] == line ? w : hit;
+
+    if (hit != assoc_) {
+        was_prefetched = prefetched[hit];
+        prefetched[hit] = 0; // demand hit clears the mark
+        stamps[hit] = clock_;
+        return true;
     }
 
-    // Miss: last invalid way if any, else the earliest min-stamp way
-    // (the same choice the former fused scan made).
-    Way *victim = base;
-    for (unsigned w = 0; w < assoc_; w++) {
-        Way &way = base[w];
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.stamp < victim->stamp) {
-            victim = &way;
-        }
+    // Miss: argmin over the stamps, keeping the first minimum. Invalid
+    // ways hold stamp 0 and every valid stamp is unique and >= 1, so
+    // this is the first invalid way if any, else the LRU way.
+    unsigned victim = 0;
+    std::uint64_t oldest = stamps[0];
+    for (unsigned w = 1; w < assoc_; w++) {
+        const bool older = stamps[w] < oldest;
+        oldest = older ? stamps[w] : oldest;
+        victim = older ? w : victim;
     }
 
-    victim->valid = true;
-    victim->tag = line;
-    victim->stamp = clock_;
-    victim->prefetched = prefetch_fill;
+    tags[victim] = line;
+    stamps[victim] = clock_;
+    prefetched[victim] = prefetch_fill;
     was_prefetched = false;
     return false;
 }
@@ -141,8 +147,12 @@ Cache::installPrefetches(std::uint64_t line, std::uint32_t count)
 void
 Cache::reset()
 {
-    for (auto &w : ways_)
-        w = Way{};
+    for (std::size_t set = 0; set < sets_; set++) {
+        std::uint64_t *tags = &tagStamps_[2 * set * assoc_];
+        std::fill(tags, tags + assoc_, InvalidTag);
+        std::fill(tags + assoc_, tags + 2 * assoc_, 0);
+    }
+    std::fill(prefetched_.begin(), prefetched_.end(), 0);
     for (auto &s : streams_)
         s = Stream{};
     clock_ = 0;

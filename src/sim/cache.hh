@@ -5,6 +5,14 @@
  * workload's virtual access stream into the demand-miss stream that
  * PEBS samples; the prefetcher is why sequential pages end up with low
  * per-access criticality (paper Figure 1a).
+ *
+ * The tag store is structure-of-arrays per set: a set's tags and its
+ * LRU stamps are two contiguous blocks side by side, and the per-way
+ * prefetched marks live in a parallel byte array. An invalid way holds
+ * the ~0 tag (no vaddr >> 6 reaches it) and stamp 0 (older than any
+ * stamp a fill writes), so a probe needs no valid flag: it is one
+ * branch-free tag select plus, on a miss, one branch-free argmin over
+ * the stamps. The LRU clock is 64 bits wide, so it never wraps.
  */
 
 #ifndef PACT_SIM_CACHE_HH
@@ -33,7 +41,8 @@ struct CacheResult
 
 /**
  * LLC model. Tags are 64B line addresses (vaddr >> 6); replacement is
- * true LRU within a set via a per-access stamp.
+ * true LRU within a set via a per-access 64-bit stamp. A miss fills
+ * the set's first invalid way, else the way with the smallest stamp.
  */
 class Cache
 {
@@ -61,20 +70,15 @@ class Cache
     unsigned assoc() const { return assoc_; }
 
   private:
-    struct Way
-    {
-        std::uint64_t tag = ~0ull;
-        std::uint32_t stamp = 0;
-        bool valid = false;
-        bool prefetched = false;
-    };
-
     struct Stream
     {
         std::uint64_t nextLine = 0;
         std::uint32_t confidence = 0;
         bool valid = false;
     };
+
+    /** Tag of an invalid way; line addresses stay below 2^58. */
+    static constexpr std::uint64_t InvalidTag = ~0ull;
 
     /** Find/fill a line; returns hit/prefetched status. */
     bool lookupFill(std::uint64_t line, bool prefetch_fill,
@@ -84,8 +88,12 @@ class Cache
     CacheParams params_;
     std::size_t sets_;
     unsigned assoc_;
-    std::uint32_t clock_ = 0;
-    std::vector<Way> ways_;
+    /** LRU clock: bumped per lookup, so every fill stamps >= 1. */
+    std::uint64_t clock_ = 0;
+    /** Set s: tags at [2*s*assoc, (2*s+1)*assoc), stamps right after. */
+    std::vector<std::uint64_t> tagStamps_;
+    /** Way w of set s was filled by the prefetcher: [s*assoc + w]. */
+    std::vector<std::uint8_t> prefetched_;
     std::vector<Stream> streams_;
     std::size_t streamVictim_ = 0;
     std::uint64_t hits_ = 0;

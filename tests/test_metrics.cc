@@ -322,6 +322,24 @@ TEST(JsonWriter, EscapesStrings)
     EXPECT_EQ(obs::jsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
 }
 
+TEST(JsonWriter, WritesPlainAndEscapedStringsAndReusesAcrossLines)
+{
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    const std::string owned = "tab\there";
+    w.beginObject();
+    w.kv("plain", "text");
+    w.kv(std::string_view("q\"key"), owned);
+    w.kv("ctl", std::string_view("\x01", 1));
+    w.endObject();
+    os << '\n';
+    ASSERT_EQ(w.depth(), 0u);
+    // A complete document leaves the writer ready for the next line.
+    w.beginObject().kv("n", std::uint64_t{7}).endObject();
+    EXPECT_EQ(os.str(), "{\"plain\":\"text\",\"q\\\"key\":\"tab\\there\","
+                        "\"ctl\":\"\\u0001\"}\n{\"n\":7}");
+}
+
 TEST(TimeSeries, HeaderThenDeltaRows)
 {
     obs::StatRegistry reg;
