@@ -98,54 +98,6 @@ engineTenants(benchmark::State &state, const char *workload,
 }
 
 /**
- * The parallel intra-run engine on the multi-tenant hot path: the
- * same colocation run as engineTenants with per-core CPU models on
- * @p threads pool workers and epoch-synchronized shared state.
- * Committed windows are byte-identical to the serial engine, so this
- * measures pure wall-clock scaling of the speculative executor;
- * parallel.commits/aborts counters expose how often windows actually
- * committed vs fell back to the serial path.
- */
-void
-engineParallel(benchmark::State &state, const char *workload,
-               const char *policy_name, unsigned threads)
-{
-    setLogQuiet(true);
-    WorkloadOptions opt;
-    opt.scale = envScale(0.5);
-    const auto bundle = makeWorkloadShared(workload, opt);
-
-    SimConfig cfg;
-    cfg.fastCapacityPages = static_cast<std::uint64_t>(
-        static_cast<double>(bundle->rssPages()) * 0.5 + 0.5);
-    cfg.parallelCores = threads;
-
-    std::uint64_t ops = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    for (auto _ : state) {
-        std::vector<std::unique_ptr<TieringPolicy>> policies;
-        std::vector<TenantSpec> specs;
-        for (const Trace &t : bundle->traces) {
-            policies.push_back(makePolicy(policy_name));
-            specs.push_back({"", {&t}, policies.back().get()});
-        }
-        Engine engine(cfg, bundle->as, std::move(specs));
-        const RunStats rs = engine.run();
-        for (const std::uint64_t r : rs.procRetired)
-            ops += r;
-        commits += engine.parallelCommits();
-        aborts += engine.parallelAborts();
-        benchmark::DoNotOptimize(rs.wallCycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-    state.counters["scale"] = opt.scale;
-    state.counters["threads"] = threads;
-    state.counters["parallel.commits"] = static_cast<double>(commits);
-    state.counters["parallel.aborts"] = static_cast<double>(aborts);
-}
-
-/**
  * Daemon-window cost family: the 16-tenant colocation with the daemon
  * period swept down from the default, so control-plane work (PAC
  * attribution, candidate selection, migration bookkeeping — the
@@ -203,44 +155,10 @@ BENCHMARK_CAPTURE(engineRun, silo_Memtis, "silo", "Memtis")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(engineTenants, coloc4_PACT, "masim-coloc4", "PACT")
     ->Unit(benchmark::kMillisecond);
-// Parallel-engine scaling family: colocation sizes 2/4/8/16 at
-// various worker-thread counts. The t1 rows price pure speculation
-// overhead (window copy + replay on one worker). coloc2 (the named
-// two-process mix) is the low-interference case where windows
-// actually commit; the generic colocN mixes co-run N-1 streamers
-// whose shared-stream-prefetcher churn aborts validation, so their
-// rows measure the bounded cost of speculate-probe-and-fall-back
-// (parallel.commits/aborts tell the story per row).
+// The named two-process colocation on the same path (the serial
+// baseline of the DESIGN.md §7c measurements).
 BENCHMARK_CAPTURE(engineTenants, coloc2_PACT, "masim-coloc", "PACT")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineParallel, coloc2_PACT_t1, "masim-coloc",
-                  "PACT", 1)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc2_PACT_t2, "masim-coloc",
-                  "PACT", 2)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc4_PACT_t1, "masim-coloc4",
-                  "PACT", 1)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc4_PACT_t2, "masim-coloc4",
-                  "PACT", 2)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc4_PACT_t4, "masim-coloc4",
-                  "PACT", 4)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc4_PACT_t8, "masim-coloc4",
-                  "PACT", 8)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc8_PACT_t1, "masim-coloc8",
-                  "PACT", 1)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc8_PACT_t2, "masim-coloc8",
-                  "PACT", 2)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc8_PACT_t4, "masim-coloc8",
-                  "PACT", 4)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc8_PACT_t8, "masim-coloc8",
-                  "PACT", 8)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc16_PACT_t1, "masim-coloc16",
-                  "PACT", 1)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc16_PACT_t2, "masim-coloc16",
-                  "PACT", 2)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc16_PACT_t4, "masim-coloc16",
-                  "PACT", 4)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(engineParallel, coloc16_PACT_t8, "masim-coloc16",
-                  "PACT", 8)->Unit(benchmark::kMillisecond)->UseRealTime();
 // Daemon-window cost family: 16 tenants, period swept 1M -> 100k
 // cycles (10x more daemon windows at the short end). items_per_second
 // here prices the control plane itself; the pr10-daemon Release entry

@@ -68,11 +68,6 @@ usage()
         "                      daemon (per-tenant tenant<i>.* stats);\n"
         "                      with n, runs the n-process colocation\n"
         "                      workload masim-coloc<n>\n"
-        "  --parallel-cores <n> run per-core CPU models on n worker\n"
-        "                      threads with epoch-synchronized shared\n"
-        "                      state (default 0 = serial). Artifacts\n"
-        "                      are byte-identical to the serial engine\n"
-        "                      at any thread count\n"
         "  --sweep             run every policy at the given ratio\n"
         "  --policies <csv>    restrict --sweep to these policies\n"
         "  --list              list workloads and policies\n"
@@ -96,10 +91,7 @@ usage()
         "  PACT_FAULTS         fault spec (--faults overrides)\n"
         "  PACT_AUDIT          1 = invariant auditor (like --audit)\n"
         "  PACT_RUN_TIMEOUT_MS per-run wall-clock budget; a run over\n"
-        "                      budget fails with TimeoutError\n"
-        "  PACT_PARALLEL_CORES worker threads for the intra-run\n"
-        "                      parallel engine (--parallel-cores\n"
-        "                      overrides)\n");
+        "                      budget fails with TimeoutError\n");
 }
 
 void
@@ -236,9 +228,6 @@ cliMain(int argc, char **argv)
             if (v[0] != '\0')
                 tenantCount =
                     static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (arg == "--parallel-cores") {
-            cfg.parallelCores =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
         } else if (arg == "--sweep") {
             sweep = true;
         } else if (arg == "--policies") {

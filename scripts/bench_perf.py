@@ -47,6 +47,8 @@ Pure standard library.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -172,8 +174,9 @@ def check_regression(path, baseline_label, threshold_pct):
 
     Returns the process exit code: 0 when every benchmark of the
     latest entry is within threshold_pct of its best prior result, 1
-    when any regressed further. Benchmarks with no prior result are
-    reported but do not fail the gate (the set evolves across PRs).
+    when any regressed further. Benchmarks with no prior result, and
+    prior benchmarks the latest entry dropped, are reported but do not
+    fail the gate (the set evolves across PRs).
     """
     if not path.exists():
         sys.exit(f"{path}: no artifact to check")
@@ -280,9 +283,22 @@ def self_test():
         # never gates.
         p = artifact(tmp, [entry("seed", engineRun=100),
                            entry("latest", engineRun=100,
-                                 engineParallel=1)])
+                                 engineNew=1)])
         expect("benchmark with no prior entry is skipped",
                check_regression(p, "seed", 10.0), 0)
+
+        # A benchmark a prior entry has but the latest entry lacks (a
+        # retired bench family) is reported as dropped and never gates.
+        p = artifact(tmp, [entry("seed", engineRun=100, engineOld=50),
+                           entry("latest", engineRun=100)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = check_regression(p, "seed", 10.0)
+        expect("benchmark dropped since the baseline is skipped", code, 0)
+        reported = any("engineOld" in line and "dropped since baseline"
+                       in line for line in out.getvalue().splitlines())
+        expect("benchmark dropped since the baseline is reported",
+               0 if reported else 1, 0)
 
         # An unknown baseline label is a hard usage error.
         p = artifact(tmp, [entry("seed", engineRun=100)])

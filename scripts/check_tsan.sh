@@ -26,7 +26,7 @@ fi
 
 cmake -B "$build" -S "$repo" -DPACT_SANITIZE=thread
 cmake --build "$build" -j --target test_pool test_harness test_txn \
-    test_trace_store test_multicore test_parallel_engine pactsim_cli
+    test_trace_store test_multicore
 
 # The pool tests force multi-threaded schedules themselves; PACT_JOBS=4
 # additionally routes every default-jobs code path through the pool.
@@ -45,16 +45,4 @@ PACT_JOBS=4 TSAN_OPTIONS="halt_on_error=1" \
 # share bundles/baselines across threads.
 PACT_JOBS=4 TSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_multicore" --gtest_filter='Multicore.SharedTier*:Multicore.TwoTenant*:Multicore.TenantRows*'
-
-# The parallel intra-run engine: speculative per-core windows mutate
-# page metadata through claim-first atomic ownership, so this is the
-# subsystem TSan exists for. The unit tests sweep 1-8 worker threads;
-# the CLI run drives 16 tenants' cores through real speculative
-# windows (engagement is asserted by the unit tests, byte-identity by
-# validate_parallel).
-PACT_JOBS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "$build/tests/test_parallel_engine"
-PACT_PARALLEL_CORES=8 TSAN_OPTIONS="halt_on_error=1" \
-    "$build/examples/pactsim_cli" --workload masim-coloc --tenants 16 \
-    --scale 0.03 >/dev/null
 echo "check_tsan: clean"

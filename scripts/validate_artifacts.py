@@ -35,11 +35,6 @@ A multi-tenant mode rides along:
     colocation) and checks the per-tenant manifest rows, the
     tenant<i>.* stat subtrees, and PACT_JOBS=1 vs =4 byte-identity.
 
-  * --parallel-only drives the same colocation serially and at
-    --parallel-cores 1/4/8 (with and without a fault schedule) and
-    checks that manifest, time-series, and event-journal artifacts
-    are byte-identical to the serial engine at every thread count.
-
 Two trace-store modes ride along:
 
   * --trace-store FILE|DIR validates .pacttrace headers standalone
@@ -586,56 +581,6 @@ def validate_tenants_e2e(cli, tmp, scale):
           "tenant manifest byte-identical across job counts")
 
 
-def run_parallel_cli(cli, outdir, tag, cores, tenants, scale, faults):
-    """One CLI run at a given --parallel-cores; returns artifact paths."""
-    outdir = pathlib.Path(outdir)
-    paths = {
-        "manifest": outdir / f"par.{tag}.json",
-        "timeseries": outdir / f"par.{tag}.ts.jsonl",
-        "events": outdir / f"par.{tag}.ev.jsonl",
-    }
-    cmd = [
-        cli,
-        "--workload", "masim-coloc",
-        "--tenants", str(tenants),
-        "--policy", "PACT",
-        "--scale", str(scale),
-        "--out-json", str(paths["manifest"]),
-        "--timeseries", str(paths["timeseries"]),
-        "--events", str(paths["events"]),
-    ]
-    if faults:
-        cmd += ["--faults", faults]
-    if cores:
-        cmd += ["--parallel-cores", str(cores)]
-    print(f"+ {' '.join(cmd)}")
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout + proc.stderr)
-        sys.exit(f"pactsim_cli failed with exit code {proc.returncode}")
-    return paths
-
-
-def validate_parallel_e2e(cli, tmp, scale):
-    """The parallel intra-run engine through the real CLI: every
-    artifact of a 4-tenant colocation run — manifest, time-series,
-    decision journal — is byte-identical between the serial engine and
-    --parallel-cores 1/4/8, with and without a fault schedule."""
-    for faults in ("", "jitter:frac=0.3"):
-        tag = "faults" if faults else "plain"
-        serial = run_parallel_cli(cli, tmp, f"{tag}.serial", 0, 4,
-                                  scale, faults)
-        validate_manifest(serial["manifest"])
-        validate_timeseries(serial["timeseries"])
-        for cores in (1, 4, 8):
-            par = run_parallel_cli(cli, tmp, f"{tag}.c{cores}", cores,
-                                   4, scale, faults)
-            for kind in ("manifest", "timeseries", "events"):
-                check(serial[kind].read_bytes() == par[kind].read_bytes(),
-                      f"{tag}: {kind} byte-identical serial vs "
-                      f"--parallel-cores {cores}")
-
-
 def run_events_cli(cli, outdir, jobs, tenants, scale, faults):
     """One fault-injected multi-tenant run with --events; returns
     (manifest path, events path)."""
@@ -853,9 +798,6 @@ def main():
     ap.add_argument("--events-only", action="store_true",
                     help="with --cli: run only the decision-provenance "
                          "journal checks (fault-injected masim-coloc4)")
-    ap.add_argument("--parallel-only", action="store_true",
-                    help="with --cli: run only the serial vs "
-                         "--parallel-cores byte-identity checks")
     ap.add_argument("--inspect",
                     help="path to the pact_inspect binary (drives the "
                          "reader over the --events-only artifacts)")
@@ -899,15 +841,6 @@ def main():
             print(f"\n{len(failures)} check(s) failed")
             return 1
         print("\nall tenant-mode checks passed")
-        return 0
-
-    if args.parallel_only:
-        with tempfile.TemporaryDirectory(prefix="pact-parallel-") as tmp:
-            validate_parallel_e2e(args.cli, tmp, args.scale)
-        if failures:
-            print(f"\n{len(failures)} check(s) failed")
-            return 1
-        print("\nall parallel-engine checks passed")
         return 0
 
     if args.events_only:

@@ -40,18 +40,19 @@ unsigned envJobs(unsigned deflt = 0);
  * — there is no global pool, no work stealing across pools, and a
  * worker never re-enters the scheduler while running a task. A task
  * running on one pool may therefore construct and drive another pool
- * (the parallel intra-run engine does exactly this when a PACT_JOBS
- * harness sweep fans out runs whose engines each own a worker pool):
- * the inner pool's threads are new OS threads, so an outer worker
- * blocked in inner wait() can never deadlock the inner pool — the
- * inner workers do not depend on any outer-pool resource. The cost is
- * deliberate oversubscription: a sweep of J runs with C-thread
- * engines holds J*(C+1) threads alive, and the kernel time-slices
- * them. That trades some scheduling overhead for a guarantee we care
- * about more: determinism and liveness never depend on a thread
- * budget. Callers who want to bound the total should divide their
- * budget explicitly (e.g. PACT_JOBS=J with C = cores/J), not expect
- * the pools to negotiate.
+ * (a parallelFor reached from a PACT_JOBS worker does exactly this:
+ * seedSweep's per-seed workers each generate their own bundle, and
+ * trace generation fans out through its own parallelFor): the inner
+ * pool's threads are new OS threads, so an outer worker blocked in
+ * inner wait() can never deadlock the inner pool — the inner workers
+ * do not depend on any outer-pool resource. The cost is deliberate
+ * oversubscription: J outer workers each driving a G-job inner
+ * parallelFor hold up to J*(G+1) threads alive, and the kernel
+ * time-slices them. That trades some scheduling overhead for a
+ * guarantee we care about more: determinism and liveness never depend
+ * on a thread budget. Callers who want to bound the total should pass
+ * the inner parallelFor an explicit job count, not expect the pools to
+ * negotiate.
  */
 class ThreadPool
 {

@@ -62,17 +62,6 @@ LruLists::insert(PageId page, TierId tier, TierManager &tm)
 }
 
 void
-LruLists::insertCommitted(PageId page, TierId tier, TierManager &tm)
-{
-    panic_if(page >= prev_.size(),
-             "LRU insertCommitted: page out of range");
-    panic_if(prev_[page] >= 0 || next_[page] >= 0,
-             "LRU insertCommitted: page already linked");
-    pushHead(list(tier, Active), page);
-    setWhere(tm, page, tier, Active);
-}
-
-void
 LruLists::remove(PageId page, TierManager &tm)
 {
     if (page >= prev_.size() || page >= tm.totalPages())

@@ -41,18 +41,6 @@ class LruLists
     /** Add a newly materialized page to its tier's active list head. */
     void insert(PageId page, TierId tier, TierManager &tm);
 
-    /**
-     * insert() for the parallel engine's barrier commit: a speculating
-     * core already published PageFlags::LruListed in the page's meta
-     * (so its own later accesses skip re-insertion, exactly as the
-     * serial engine's would), and the barrier replays the actual list
-     * splice here in serial core order. Identical to insert() except
-     * the already-listed panic is waived for that pre-published flag;
-     * setWhere() still rewrites the whole LruMask field, so the final
-     * flag bits match a serial insert() bit-for-bit.
-     */
-    void insertCommitted(PageId page, TierId tier, TierManager &tm);
-
     /** Remove a page (before migration re-inserts it elsewhere). */
     void remove(PageId page, TierManager &tm);
 

@@ -18,14 +18,7 @@
 namespace pact
 {
 
-/**
- * Packed per-page metadata (8 bytes/page). 8-byte alignment makes the
- * whole record a single lock-free std::atomic_ref unit, which the
- * parallel engine relies on: a speculating core that has claimed a
- * page updates its meta with one relaxed 8-byte store, and foreign
- * prefetch probes read it with one relaxed 8-byte load, so cross-core
- * meta access is tear-free without any per-page lock.
- */
+/** Packed per-page metadata (8 bytes/page). */
 struct alignas(8) PageMeta
 {
     /** Compressed last-access timestamp (cycle >> 10). */
@@ -184,25 +177,6 @@ class TierManager
             regionRef_[page / PagesPerHugePage]--;
     }
 
-    /**
-     * Parallel-commit fold: a committed speculative window wrote page
-     * meta in place, bypassing the hooks above. Reconcile the region
-     * counter from the page's pre-window vs committed flags.
-     */
-    void
-    noteSpecFlags(PageId page, std::uint8_t pre_flags,
-                  std::uint8_t final_flags)
-    {
-        constexpr std::uint8_t hr =
-            PageFlags::Huge | PageFlags::Referenced;
-        const bool was = (pre_flags & hr) == hr;
-        const bool now = (final_flags & hr) == hr;
-        if (now && !was)
-            regionRef_[page / PagesPerHugePage]++;
-        else if (was && !now)
-            regionRef_[page / PagesPerHugePage]--;
-    }
-
     /** Huge-and-referenced pages in @p page's 2MB region. */
     std::uint64_t
     regionReferenced(PageId page) const
@@ -213,34 +187,6 @@ class TierManager
     /** Force the first-touch preference (Soar static placement). */
     void setFirstTouchOverride(PageId page, TierId tier);
     void clearFirstTouchOverrides();
-
-    /** First-touch preference of a page (0xff = none). Overrides only
-     *  change at daemon-window boundaries, so the parallel engine's
-     *  speculating cores may read them without synchronization. */
-    std::uint8_t
-    firstTouchOverride(PageId page) const
-    {
-        return firstTouchOverride_[page];
-    }
-
-    /**
-     * Adopt the capacity accounting of first-touch materializations a
-     * committed speculative window already wrote into the page array
-     * in place (Touched/Huge flags, tier, owner). Counter-only: the
-     * per-page state must already be final, and auditConsistency()
-     * still has to hold afterwards — the parallel engine guarantees
-     * both by construction (sole-writer page claims + replay
-     * validation) before calling this.
-     */
-    void
-    adoptSpeculative(std::uint64_t fast_pages, std::uint64_t slow_pages,
-                     std::uint64_t huge_pages)
-    {
-        used_[tierIndex(TierId::Fast)] += fast_pages;
-        used_[tierIndex(TierId::Slow)] += slow_pages;
-        touchedCount_ += fast_pages + slow_pages;
-        hugeCount_ += huge_pages;
-    }
 
     /** Pages currently resident in a tier (committed copies only). */
     std::uint64_t used(TierId t) const { return used_[tierIndex(t)]; }

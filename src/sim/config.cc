@@ -77,10 +77,6 @@ SimConfig::validate() const
                     "SimConfig.migration.txnBackoffCycles is "
                     "implausibly large, got ", migration.txnBackoffCycles);
 
-    throw_config_if(parallelCores > 254,
-                    "SimConfig.parallelCores must be <= 254 (core "
-                    "ownership tags are one byte), got ", parallelCores);
-
     throw_config_if(daemonPeriod == 0,
                     "SimConfig.daemonPeriod must be >= 1 cycle, got 0");
     throw_config_if(slice == 0,

@@ -157,20 +157,6 @@ struct SimConfig
     Cycles maxWallCycles = 1ull << 36;
 
     /**
-     * Worker threads for the parallel intra-run engine (0 = serial,
-     * the default). When set, each core's CPU model runs its daemon
-     * window speculatively on a pool worker against private LLC/tier
-     * copies; the shared-state interaction log is then replayed in
-     * serial core order at the window barrier and validated, so the
-     * run is byte-identical to the serial engine at any thread count
-     * (any divergence rolls the window back and re-runs it serially).
-     * The PACT_PARALLEL_CORES environment variable fills this in when
-     * the config leaves it 0. Ignored (serial) for single-core runs
-     * and when the CHMU is enabled.
-     */
-    unsigned parallelCores = 0;
-
-    /**
      * Fault-injection spec (see src/fault/fault.hh for the grammar).
      * Empty disables injection; the PACT_FAULTS environment variable
      * fills this in when the config leaves it empty.

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-#include "sim/parallel.hh"
-
 namespace pact
 {
 
@@ -12,60 +9,12 @@ Cpu::Cpu(const SimConfig &cfg, const Trace &trace, Cache &cache,
          std::array<Tier *, NumTiers> tiers, TierManager &tm, LruLists &lru,
          Pmu &pmu, PebsSampler &pebs, const std::vector<std::uint8_t> &huge,
          AccessListener *listener, Chmu *chmu)
-    : cfg_(cfg), trace_(trace), cache_(&cache), tiers_(tiers), tm_(tm),
-      lru_(lru), pmu_(&pmu), pebs_(pebs), huge_(huge), listener_(listener),
+    : cfg_(cfg), trace_(trace), cache_(cache), tiers_(tiers), tm_(tm),
+      lru_(lru), pmu_(pmu), pebs_(pebs), huge_(huge), listener_(listener),
       chmu_(chmu)
 {
     missHeap_.reserve(cfg.cpu.mshrs + 1);
     pendingStarts_.reserve(cfg.cpu.mshrs + 1);
-}
-
-Cpu::Checkpoint
-Cpu::checkpoint() const
-{
-    Checkpoint ck;
-    ck.cycle = cycle_;
-    ck.pos = pos_;
-    ck.opIdx = opIdx_;
-    ck.retired = retired_;
-    ck.retireCredit = retireCredit_;
-    ck.done = done_;
-    ck.finishCycle = finishCycle_;
-    ck.penaltyCycles = penaltyCycles_;
-    ck.missHeap = missHeap_;
-    ck.robFifo = robFifo_;
-    ck.pendingStarts = pendingStarts_;
-    ck.torCount = torCount_;
-    ck.lastLoadValid = lastLoadValid_;
-    ck.lastLoadCompletion = lastLoadCompletion_;
-    ck.lastLoadTier = lastLoadTier_;
-    ck.spanStack = spanStack_;
-    ck.spansSize = spans_.size();
-    return ck;
-}
-
-void
-Cpu::restore(const Checkpoint &ck)
-{
-    cycle_ = ck.cycle;
-    pos_ = ck.pos;
-    opIdx_ = ck.opIdx;
-    retired_ = ck.retired;
-    retireCredit_ = ck.retireCredit;
-    done_ = ck.done;
-    finishCycle_ = ck.finishCycle;
-    penaltyCycles_ = ck.penaltyCycles;
-    missHeap_ = ck.missHeap;
-    robFifo_ = ck.robFifo;
-    pendingStarts_ = ck.pendingStarts;
-    torCount_ = ck.torCount;
-    lastLoadValid_ = ck.lastLoadValid;
-    lastLoadCompletion_ = ck.lastLoadCompletion;
-    lastLoadTier_ = ck.lastLoadTier;
-    spanStack_ = ck.spanStack;
-    panic_if(spans_.size() < ck.spansSize,
-             "Cpu restore: spans shrank across a window");
-    spans_.resize(ck.spansSize);
 }
 
 /**
@@ -78,8 +27,8 @@ Cpu::accrueTor(Cycles c0, Cycles c1)
     const Cycles dt = c1 - c0;
     for (unsigned t = 0; t < NumTiers; t++) {
         if (const std::uint32_t n = torCount_[t]) {
-            pmu_->torOccupancy[t] += static_cast<std::uint64_t>(n) * dt;
-            pmu_->torBusy[t] += dt;
+            pmu_.torOccupancy[t] += static_cast<std::uint64_t>(n) * dt;
+            pmu_.torBusy[t] += dt;
         }
     }
 }
@@ -135,7 +84,7 @@ void
 Cpu::waitFor(Cycles completion, TierId tier)
 {
     if (completion > cycle_) {
-        pmu_->stallCycles[tierIndex(tier)] += completion - cycle_;
+        pmu_.stallCycles[tierIndex(tier)] += completion - cycle_;
         advanceTo(completion);
     }
 }
@@ -180,10 +129,6 @@ Cpu::insertMiss(Cycles start, Cycles completion, TierId tier)
 void
 Cpu::doAccess(const TraceOp &op)
 {
-    if (spec_) {
-        doAccessSpec(op);
-        return;
-    }
     const bool isLoad = op.kind() == OpKind::Load;
     const PageId page = pageOf(op.vaddr());
 
@@ -215,7 +160,7 @@ Cpu::doAccess(const TraceOp &op)
     // next access; the access traps, costing the process fault cycles.
     if (m.flags & PageFlags::HintArmed) {
         m.flags &= ~PageFlags::HintArmed;
-        pmu_->hintFaults++;
+        pmu_.hintFaults++;
         addPenalty(cfg_.cpu.hintFaultCycles);
         if (listener_)
             listener_->onHintFault(page, trace_.proc);
@@ -227,7 +172,7 @@ Cpu::doAccess(const TraceOp &op)
     if (op.dep() && lastLoadValid_)
         waitFor(lastLoadCompletion_, lastLoadTier_);
 
-    const CacheResult cr = cache_->access(op.vaddr());
+    const CacheResult cr = cache_.access(op.vaddr());
 
     if (cr.prefetchLines > 0) {
         // Prefetches consume target-tier bandwidth but never fault
@@ -238,15 +183,15 @@ Cpu::doAccess(const TraceOp &op)
             if (pm.flags & PageFlags::Touched) {
                 Tier *pt = tiers_[tierIndex(static_cast<TierId>(pm.tier))];
                 pt->chargeLines(cycle_, cr.prefetchLines);
-                cache_->installPrefetches(cr.prefetchStart,
-                                          cr.prefetchLines);
-                pmu_->prefetches += cr.prefetchLines;
+                cache_.installPrefetches(cr.prefetchStart,
+                                         cr.prefetchLines);
+                pmu_.prefetches += cr.prefetchLines;
             }
         }
     }
 
     if (cr.hit) {
-        pmu_->llcHits++;
+        pmu_.llcHits++;
         if (isLoad)
             lastLoadValid_ = false; // data available immediately
         return;
@@ -273,11 +218,11 @@ Cpu::doAccess(const TraceOp &op)
     const TierAccess acc = tiers_[tierIndex(tier)]->access(cycle_);
     insertMiss(acc.start, acc.completion, tier);
 
-    pmu_->llcMisses[tierIndex(tier)]++;
+    pmu_.llcMisses[tierIndex(tier)]++;
     if (chmu_ && tier == TierId::Slow)
         chmu_->record(page); // the device observes all its accesses
     if (isLoad) {
-        pmu_->llcLoadMisses[tierIndex(tier)]++;
+        pmu_.llcLoadMisses[tierIndex(tier)]++;
         pebs_.onLoadMiss(op.vaddr(), tier,
                          static_cast<std::uint32_t>(acc.completion - cycle_),
                          trace_.proc, cycle_);
@@ -285,106 +230,6 @@ Cpu::doAccess(const TraceOp &op)
         lastLoadCompletion_ = acc.completion;
         lastLoadTier_ = tier;
     }
-}
-
-/**
- * Speculative-window twin of doAccess: identical timing arithmetic
- * against the core's private LLC/tier copies, page meta resolved
- * through the session's claim protocol, and every shared-state
- * interaction appended to the session log for barrier replay. Shared
- * side effects that cannot run concurrently — the LRU list splice,
- * the PEBS sample (with its fault-RNG and journal effects), CHMU
- * recording — are deferred: the first two are replayed at the
- * barrier in serial order, and the CHMU never coexists with
- * speculation (the engine disables the parallel path when it's on).
- */
-void
-Cpu::doAccessSpec(const TraceOp &op)
-{
-    const bool isLoad = op.kind() == OpKind::Load;
-    const PageId page = pageOf(op.vaddr());
-
-    bool lruInsert = false;
-    const bool huge = page < huge_.size() && huge_[page];
-    const TierId tier =
-        spec_->resolveMeta(page, trace_.proc, huge, cycle_, lruInsert);
-    if (spec_->failed())
-        return;
-
-    if (op.dep() && lastLoadValid_)
-        waitFor(lastLoadCompletion_, lastLoadTier_);
-
-    SpecOp rec;
-    rec.vaddr = op.vaddr();
-    rec.accessCycle = cycle_;
-    if (isLoad)
-        rec.flags |= SpecOpFlags::Load;
-    if (lruInsert) {
-        rec.flags |= SpecOpFlags::LruInsert;
-        rec.lruTier = static_cast<std::uint8_t>(tierIndex(tier));
-    }
-
-    const CacheResult cr = cache_->access(op.vaddr());
-    rec.prefetchLines = cr.prefetchLines;
-
-    if (cr.prefetchLines > 0) {
-        const PageId ppage = pageOf(cr.prefetchStart << LineShift);
-        if (ppage < tm_.totalPages()) {
-            TierId pt;
-            if (spec_->probeTouched(ppage, pt)) {
-                rec.flags |= SpecOpFlags::PrefetchCharged;
-                rec.prefetchTier =
-                    static_cast<std::uint8_t>(tierIndex(pt));
-                tiers_[tierIndex(pt)]->chargeLines(cycle_,
-                                                   cr.prefetchLines);
-                cache_->installPrefetches(cr.prefetchStart,
-                                          cr.prefetchLines);
-                pmu_->prefetches += cr.prefetchLines;
-            }
-        }
-    }
-
-    if (cr.hit) {
-        rec.flags |= SpecOpFlags::Hit;
-        spec_->log(rec);
-        pmu_->llcHits++;
-        if (isLoad)
-            lastLoadValid_ = false;
-        return;
-    }
-
-    while (missHeap_.size() >= cfg_.cpu.mshrs) {
-        const Miss next = missHeap_.front();
-        waitFor(next.completion, next.tier);
-    }
-    while (!robFifo_.empty()) {
-        if (robFifo_.front().completion <= cycle_) {
-            robFifo_.pop_front();
-            continue;
-        }
-        const Miss oldest = robFifo_.front();
-        if (opIdx_ - oldest.opIdx <
-            static_cast<std::uint64_t>(cfg_.cpu.robOps))
-            break;
-        waitFor(oldest.completion, oldest.tier);
-        robFifo_.pop_front();
-    }
-
-    rec.ready = cycle_;
-    const TierAccess acc = tiers_[tierIndex(tier)]->access(cycle_);
-    rec.missTier = static_cast<std::uint8_t>(tierIndex(tier));
-    rec.start = acc.start;
-    insertMiss(acc.start, acc.completion, tier);
-
-    pmu_->llcMisses[tierIndex(tier)]++;
-    if (isLoad) {
-        pmu_->llcLoadMisses[tierIndex(tier)]++;
-        // PEBS (RNG + journal side effects) replays at the barrier.
-        lastLoadValid_ = true;
-        lastLoadCompletion_ = acc.completion;
-        lastLoadTier_ = tier;
-    }
-    spec_->log(rec);
 }
 
 bool
@@ -395,10 +240,6 @@ Cpu::run(Cycles until)
     const auto &ops = trace_.ops;
 
     while (cycle_ < until) {
-        // A failed speculation session poisons the whole window; stop
-        // at the next op boundary (the engine rolls this core back).
-        if (spec_ && spec_->failed())
-            return true;
         if (pos_ >= ops.size()) {
             if (trace_.loop && !ops.empty()) {
                 pos_ = 0;
@@ -412,10 +253,10 @@ Cpu::run(Cycles until)
         const TraceOp &op = ops[pos_++];
         opIdx_++;
         retired_++;
-        pmu_->instructions++;
+        pmu_.instructions++;
 
         if (const std::uint32_t gap = op.gap()) {
-            pmu_->computeCycles += gap;
+            pmu_.computeCycles += gap;
             advanceTo(cycle_ + gap);
         }
 
@@ -441,7 +282,7 @@ Cpu::run(Cycles until)
             // The full cycle count rides in the addr field (the
             // 12-bit gap field is zero); accounting matches the
             // equivalent run of max-gap Nops.
-            pmu_->computeCycles += op.vaddr();
+            pmu_.computeCycles += op.vaddr();
             advanceTo(cycle_ + op.vaddr());
             break;
         }

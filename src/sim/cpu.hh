@@ -47,8 +47,6 @@
 namespace pact
 {
 
-class SpecSession;
-
 /** One simulated hardware context executing a trace. */
 class Cpu
 {
@@ -115,62 +113,6 @@ class Cpu
         std::uint8_t tier;
     };
 
-    /**
-     * Complete copy of the core's mutable execution state. The
-     * parallel engine snapshots every core before a speculative
-     * window and restores on abort, so an aborted window's serial
-     * re-run starts from exactly the pre-window core state. spans_
-     * is append-only, so only its size is stored (restore truncates).
-     */
-    struct Checkpoint
-    {
-        Cycles cycle = 0;
-        std::size_t pos = 0;
-        std::uint64_t opIdx = 0;
-        std::uint64_t retired = 0;
-        unsigned retireCredit = 0;
-        bool done = false;
-        Cycles finishCycle = 0;
-        Cycles penaltyCycles = 0;
-        std::vector<Miss> missHeap;
-        std::deque<Miss> robFifo;
-        std::vector<PendingStart> pendingStarts;
-        std::array<std::uint32_t, NumTiers> torCount = {0, 0};
-        bool lastLoadValid = false;
-        Cycles lastLoadCompletion = 0;
-        TierId lastLoadTier = TierId::Fast;
-        std::vector<std::pair<std::uint32_t, Cycles>> spanStack;
-        std::size_t spansSize = 0;
-    };
-
-    Checkpoint checkpoint() const;
-    void restore(const Checkpoint &ck);
-
-    /**
-     * Repoint the LLC, tiers, and PMU this core issues to. The
-     * parallel engine redirects each core to private copies for a
-     * speculative window and back to the shared structures at the
-     * barrier; every structural reference (page table, LRU, trace)
-     * stays put.
-     */
-    void
-    redirect(Cache *cache, const std::array<Tier *, NumTiers> &tiers,
-             Pmu *pmu)
-    {
-        cache_ = cache;
-        tiers_ = tiers;
-        pmu_ = pmu;
-    }
-
-    /**
-     * Enter/leave speculative mode. With a session attached, doAccess
-     * resolves page meta through the session's claim protocol, logs
-     * every shared-state interaction, and defers PEBS/LRU/CHMU side
-     * effects to the barrier replay; run() bails out at the next op
-     * once the session has failed.
-     */
-    void setSpec(SpecSession *spec) { spec_ = spec; }
-
   private:
     /** Min-heap order on start time (ties are order-insensitive:
      *  equal-time segments have zero width). */
@@ -191,7 +133,6 @@ class Cpu
     }
 
     void doAccess(const TraceOp &op);
-    void doAccessSpec(const TraceOp &op);
     void waitFor(Cycles completion, TierId tier);
     void advanceTo(Cycles c1);
     void accrueTor(Cycles c0, Cycles c1);
@@ -199,19 +140,15 @@ class Cpu
 
     const SimConfig &cfg_;
     const Trace &trace_;
-    /** LLC and PMU are pointers (not refs) so the parallel engine can
-     *  redirect() a core to private copies for a speculative window. */
-    Cache *cache_;
+    Cache &cache_;
     std::array<Tier *, NumTiers> tiers_;
     TierManager &tm_;
     LruLists &lru_;
-    Pmu *pmu_;
+    Pmu &pmu_;
     PebsSampler &pebs_;
     const std::vector<std::uint8_t> &huge_;
     AccessListener *listener_;
     Chmu *chmu_;
-    /** Active speculation session, or null on the serial path. */
-    SpecSession *spec_ = nullptr;
 
     Cycles cycle_ = 0;
     std::size_t pos_ = 0;

@@ -5,7 +5,6 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "sim/parallel.hh"
 
 namespace pact
 {
@@ -19,20 +18,6 @@ envAudit()
 {
     const char *s = std::getenv("PACT_AUDIT");
     return s && *s && std::string(s) != "0";
-}
-
-/** PACT_PARALLEL_CORES=N enables the parallel intra-run engine when
- *  the config leaves SimConfig::parallelCores at 0. */
-unsigned
-envParallelCores()
-{
-    const char *s = std::getenv("PACT_PARALLEL_CORES");
-    if (!s || !*s)
-        return 0;
-    const long v = std::atol(s);
-    if (v <= 0)
-        return 0;
-    return static_cast<unsigned>(std::min<long>(v, 254));
 }
 
 /** Wrap every trace under one tenant: the pre-tenant engine shape. */
@@ -113,20 +98,6 @@ Engine::Engine(const SimConfig &cfg, const AddrSpace &as,
     init();
 }
 
-Engine::~Engine() = default;
-
-std::uint64_t
-Engine::parallelCommits() const
-{
-    return par_ ? par_->committedWindows() : 0;
-}
-
-std::uint64_t
-Engine::parallelAborts() const
-{
-    return par_ ? par_->abortedWindows() : 0;
-}
-
 void
 Engine::init()
 {
@@ -198,15 +169,6 @@ Engine::init()
     }
 
     nextTick_ = nextPeriod();
-
-    // Parallel intra-run execution: speculative per-core windows with
-    // a serial barrier replay, byte-identical to the serial path at
-    // any thread count. Pointless on one core; incompatible with the
-    // CHMU (its per-access device counters would need their own log).
-    const unsigned pcores =
-        cfg_.parallelCores ? cfg_.parallelCores : envParallelCores();
-    if (pcores > 0 && cpus_.size() > 1 && cpus_.size() <= 254 && !chmu_)
-        par_ = std::make_unique<ParallelExec>(*this, pcores);
 }
 
 Cycles
@@ -591,21 +553,6 @@ Engine::chargeCopy(TierId src, TierId dst, std::uint64_t bytes)
     return cost;
 }
 
-unsigned
-Engine::windowSlices(Cycles until) const
-{
-    const Cycles slice = cfg_.slice;
-    const auto slicesTo = [&](Cycles end) -> std::uint64_t {
-        if (end <= now_)
-            return 1;
-        return (end - now_ + slice - 1) / slice;
-    };
-    std::uint64_t k = slicesTo(until);
-    k = std::min(k, slicesTo(nextTick_));
-    k = std::min(k, slicesTo(cfg_.maxWallCycles));
-    return static_cast<unsigned>(std::min<std::uint64_t>(k, 128));
-}
-
 bool
 Engine::runUntil(Cycles until)
 {
@@ -630,34 +577,18 @@ Engine::runUntil(Cycles until)
         return false;
 
     while (now_ < until) {
-        bool advanced = false;
-        if (par_ && serialSlices_ == 0) {
-            // Try the next window speculatively; an abort (or
-            // deterministic backoff) re-runs exactly that window on
-            // the serial path below before the next attempt.
-            const unsigned k = windowSlices(until);
-            if (par_->runWindow(k))
-                advanced = true;
-            else
-                serialSlices_ = k;
+        const Cycles sliceEnd = now_ + cfg_.slice;
+        for (std::size_t i = 0; i < cpus_.size(); i++) {
+            currentTenant_ = tenantOf_[i];
+            // Fault-path migrations (promote-on-fault policies) fire
+            // inside cpu->run; stamp their provenance context at slice
+            // resolution so the journal attributes them correctly and
+            // the admission gate knows whose migration it is judging.
+            mig_.setJournalContext(now_, currentTenant_,
+                                   tenants_[currentTenant_]->ticks);
+            cpus_[i]->run(sliceEnd);
         }
-        if (!advanced) {
-            if (serialSlices_ > 0)
-                serialSlices_--;
-            const Cycles sliceEnd = now_ + cfg_.slice;
-            for (std::size_t i = 0; i < cpus_.size(); i++) {
-                currentTenant_ = tenantOf_[i];
-                // Fault-path migrations (promote-on-fault policies)
-                // fire inside cpu->run; stamp their provenance context
-                // at slice resolution so the journal attributes them
-                // correctly and the admission gate knows whose
-                // migration it is judging.
-                mig_.setJournalContext(now_, currentTenant_,
-                                       tenants_[currentTenant_]->ticks);
-                cpus_[i]->run(sliceEnd);
-            }
-            now_ = sliceEnd;
-        }
+        now_ = sliceEnd;
 
         if (now_ >= nextTick_) {
             // Injected daemon stall: the daemon crashed and restarts

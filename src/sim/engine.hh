@@ -40,8 +40,6 @@
 namespace pact
 {
 
-class ParallelExec;
-
 /**
  * One tenant of a multi-tenant engine: a named group of traces (one
  * core each) plus the policy daemon managing that tenant's pages.
@@ -164,8 +162,6 @@ class Engine : public MigrationBackend
     Engine(const SimConfig &cfg, const AddrSpace &as,
            std::vector<TenantSpec> tenants);
 
-    ~Engine() override;
-
     /** Run to completion and return statistics. */
     RunStats run();
 
@@ -200,22 +196,6 @@ class Engine : public MigrationBackend
     /** Live fault plan, or nullptr when no faults are enabled. */
     FaultPlan *faults() { return faults_.get(); }
 
-    /**
-     * Whether the parallel intra-run path is active
-     * (SimConfig::parallelCores or PACT_PARALLEL_CORES, multi-core,
-     * no CHMU). Purely a performance mode: committed windows are
-     * byte-identical to the serial engine and aborted windows re-run
-     * serially, so artifacts never depend on this returning true.
-     */
-    bool parallelEnabled() const { return par_ != nullptr; }
-    /** Speculative windows committed so far (0 when serial). */
-    std::uint64_t parallelCommits() const;
-    /** Speculative windows aborted to the serial path (0 when serial). */
-    std::uint64_t parallelAborts() const;
-    /** The parallel executor itself (abort breakdowns etc.), or
-     *  nullptr when serial. Include sim/parallel.hh to use it. */
-    const ParallelExec *parallel() const { return par_.get(); }
-
     /** The stat registry every subsystem registered into. */
     const obs::StatRegistry &stats() const { return reg_; }
 
@@ -248,10 +228,6 @@ class Engine : public MigrationBackend
     }
 
   private:
-    /** The parallel executor drives cores/cache/tiers/LRU/PEBS
-     *  directly during speculative windows and barrier replay. */
-    friend class ParallelExec;
-
     /** Everything one tenant owns: counters, sampler, daemon context. */
     struct TenantState
     {
@@ -284,14 +260,6 @@ class Engine : public MigrationBackend
 
     /** The next daemon window length (jittered when faults say so). */
     Cycles nextPeriod();
-
-    /**
-     * Slices the next speculative window may cover: up to the next
-     * daemon tick, run bound, or wall limit — whichever the serial
-     * loop would reach first — capped at 128 to bound log memory
-     * (shorter windows just leave the later checks to the next one).
-     */
-    unsigned windowSlices(Cycles until) const;
 
     /**
      * Refresh the masked PMU view one tenant's policy reads under
@@ -338,11 +306,6 @@ class Engine : public MigrationBackend
     obs::Distribution torWindowDist_;
     /** Aggregate slow-tier TOR occupancy at the last window close. */
     std::uint64_t lastTorOcc_ = 0;
-
-    /** Parallel intra-run executor (null on the serial path). */
-    std::unique_ptr<ParallelExec> par_;
-    /** Pending serial slices after an aborted/backed-off window. */
-    unsigned serialSlices_ = 0;
 
     Cycles now_ = 0;
     Cycles nextTick_ = 0;

@@ -278,47 +278,4 @@ makeMasimColocationN(unsigned tenants, const WorkloadOptions &opt)
     return b;
 }
 
-Trace
-interleaveTraces(const std::vector<Trace> &traces)
-{
-    throw_workload_if(traces.empty(), "interleaveTraces: no traces");
-    std::size_t total = 0;
-    for (const Trace &t : traces) {
-        throw_workload_if(t.loop, "interleaveTraces: trace '", t.name,
-                          "' loops; a merged trace has no loop point");
-        total += t.size();
-    }
-
-    Trace merged;
-    merged.name = "interleaved";
-    merged.proc = 0;
-    merged.ops.reserve(total);
-
-    // Round-robin one op per live trace. A shorter trace dropping out
-    // must not end the merge: the remaining traces keep rotating, so
-    // the longest trace's tail is appended and no op is ever lost.
-    std::vector<std::size_t> cursor(traces.size(), 0);
-    std::size_t emitted = 0;
-    while (emitted < total) {
-        for (std::size_t i = 0; i < traces.size(); i++) {
-            if (cursor[i] < traces[i].size()) {
-                merged.ops.push_back(traces[i].ops[cursor[i]++]);
-                emitted++;
-            }
-        }
-    }
-    return merged;
-}
-
-WorkloadBundle
-makeMasimColocationInterleaved(const WorkloadOptions &opt)
-{
-    WorkloadBundle split = makeMasimColocation(opt);
-    WorkloadBundle b;
-    b.name = "masim-coloc-interleaved";
-    b.as = std::move(split.as);
-    b.traces.push_back(interleaveTraces(split.traces));
-    return b;
-}
-
 } // namespace pact

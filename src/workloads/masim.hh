@@ -79,27 +79,6 @@ WorkloadBundle makeMasimColocationN(unsigned tenants,
                                     const WorkloadOptions &opt);
 
 /**
- * Legacy-compat interleaver: merge per-process traces into the single
- * pre-interleaved trace older colocation experiments replayed on one
- * core. Ops are taken round-robin, one per live trace per round; when
- * traces differ in length the exhausted ones simply drop out, so the
- * tail of the longest trace is appended rather than truncated and the
- * merged op count always equals the sum of the inputs'. All inputs
- * must be non-looping. The merged trace runs as process 0 — per-
- * process attribution is destroyed by design (that is why the
- * multi-tenant engine replaces this path).
- */
-Trace interleaveTraces(const std::vector<Trace> &traces);
-
-/**
- * The pre-multi-tenant colocation workload ("masim-coloc-interleaved"):
- * makeMasimColocation's two processes merged by interleaveTraces into
- * one single-core trace. Kept as the legacy-compat path so old
- * experiments remain reproducible.
- */
-WorkloadBundle makeMasimColocationInterleaved(const WorkloadOptions &opt);
-
-/**
  * The paper's motivating inversion (§2.1, §5.6): a small, frequently
  * accessed random region whose independent accesses overlap (high MLP,
  * latency-tolerant) phased against a larger, less frequently accessed

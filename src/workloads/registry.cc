@@ -105,8 +105,6 @@ buildByName(const std::string &name, const WorkloadOptions &opt)
         return makeMasimDefault(opt);
     if (name == "masim-coloc")
         return makeMasimColocation(opt);
-    if (name == "masim-coloc-interleaved")
-        return makeMasimColocationInterleaved(opt);
     if (name.rfind("masim-coloc", 0) == 0 && name.size() > 11) {
         // "masim-coloc<N>": N-process colocation for the multi-tenant
         // engine (one pointer-chase victim + N-1 streamers).

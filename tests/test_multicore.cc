@@ -4,7 +4,9 @@
  * single-policy corpus bit-for-bit for one tenant, N-tenant runs are
  * byte-deterministic across PACT_JOBS settings and repeats, and the
  * shared per-tier token buckets cap aggregate bandwidth no matter how
- * many tenants contend on them.
+ * many tenants contend on them. Also pins the start()-time migration
+ * journal attribution: a tenant's start-phase migrations must be
+ * journaled under that tenant, not whichever tenant was stamped last.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,9 @@
 
 #include "common/error.hh"
 #include "harness/runner.hh"
+#include "mem/addr_space.hh"
+#include "obs/events.hh"
+#include "sim/engine.hh"
 #include "workloads/registry.hh"
 
 using namespace pact;
@@ -336,4 +341,105 @@ TEST(MulticoreDeath, SoarIsSingleTenantOnly)
         EXPECT_NE(std::string(e.what()).find("single-tenant"),
                   std::string::npos);
     }
+}
+
+namespace
+{
+
+/** Multi-process streaming bundle exercising both tiers directly. */
+struct StreamEnv
+{
+    StreamEnv(unsigned procs, std::uint64_t ops)
+    {
+        for (unsigned p = 0; p < procs; p++) {
+            const Addr base =
+                as.alloc(p, "buf" + std::to_string(p), 8 << 20);
+            Trace t;
+            t.name = "proc" + std::to_string(p);
+            t.proc = static_cast<ProcId>(p);
+            // Distinct stride per process so cores interleave over
+            // disjoint pages with different miss mixes.
+            for (std::uint64_t i = 0; i < ops; i++)
+                t.load(base + (i * (8 + p) % (8 << 14)) * LineBytes,
+                       p % 2 == 1);
+            traces.push_back(std::move(t));
+        }
+        // Force fast-tier spill so first-touch, LRU, and PEBS slow
+        // sampling all see traffic.
+        cfg.fastCapacityPages = 96;
+    }
+
+    SimConfig cfg;
+    AddrSpace as;
+    std::vector<Trace> traces;
+};
+
+/**
+ * A daemon that migrates during start(): touches a page (first-touch
+ * lands in the fast tier while capacity remains) and immediately
+ * demotes it, before any simulation slice has run.
+ */
+class StartMigrator : public TieringPolicy
+{
+  public:
+    const char *name() const override { return "start-migrator"; }
+    void start(SimContext &ctx) override
+    {
+        const PageId page = startPage;
+        ctx.tm.touch(page, 0, false);
+        migrated = ctx.mig.demote(page);
+    }
+    void tick(SimContext &) override {}
+
+    PageId startPage = 0;
+    bool migrated = false;
+};
+
+} // namespace
+
+/**
+ * Regression (chargeCopy journal attribution): a migration fired from
+ * tenant i's start() — before any slice stamps the current tenant —
+ * must be journaled under tenant i. Previously the journal context
+ * was whatever the engine last stamped (tenant 0 at construction), so
+ * every start-time migration was misattributed to tenant 0.
+ */
+TEST(Multicore, StartTimeMigrationJournalsCorrectTenant)
+{
+    StreamEnv env(2, 20000);
+    StartMigrator pol0, pol1;
+    pol0.startPage = 1;
+    pol1.startPage = 2;
+
+    std::vector<TenantSpec> specs(2);
+    specs[0].traces = {&env.traces[0]};
+    specs[0].policy = &pol0;
+    specs[1].traces = {&env.traces[1]};
+    specs[1].policy = &pol1;
+
+    Engine e(env.cfg, env.as, std::move(specs));
+    obs::EventJournal journal;
+    e.setEventJournal(&journal);
+    e.run();
+
+    ASSERT_TRUE(pol0.migrated);
+    ASSERT_TRUE(pol1.migrated);
+
+    bool saw0 = false, saw1 = false;
+    for (const obs::PageEvent &ev : journal.events()) {
+        if (ev.kind != obs::EventKind::MigrationStart)
+            continue;
+        if (ev.page == pol0.startPage && ev.now == 0) {
+            EXPECT_EQ(ev.tenant, 0u);
+            saw0 = true;
+        }
+        if (ev.page == pol1.startPage && ev.now == 0) {
+            EXPECT_EQ(ev.tenant, 1u)
+                << "start()-time migration misattributed to tenant "
+                << ev.tenant;
+            saw1 = true;
+        }
+    }
+    EXPECT_TRUE(saw0);
+    EXPECT_TRUE(saw1);
 }

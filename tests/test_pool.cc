@@ -137,9 +137,9 @@ TEST(ThreadPool, WaitIsReusable)
 }
 
 /**
- * Nested pools (the parallel intra-run engine inside a PACT_JOBS
- * harness sweep): every outer task constructs and drives its own
- * inner ThreadPool. Must complete without deadlock — inner workers
+ * Nested pools (a parallelFor reached from a PACT_JOBS worker, e.g.
+ * per-seed trace generation inside a seed sweep): every outer task
+ * constructs and drives its own inner ThreadPool. Must complete without deadlock — inner workers
  * are fresh OS threads, never borrowed from the blocked outer worker
  * — with every inner task running on its own pool's threads and the
  * expected total worker count alive at the peak.

@@ -250,7 +250,9 @@ TEST(TraceStore, ConcurrentWarmLoadsShareOneMapping)
 
     constexpr std::size_t kLoaders = 8;
     std::vector<std::vector<Trace>> loaded(kLoaders);
-    std::vector<bool> ok(kLoaders, false);
+    // char, not bool: std::vector<bool> packs slots into shared words,
+    // so concurrent loaders writing neighbouring slots would race.
+    std::vector<char> ok(kLoaders, 0);
     parallelFor(
         kLoaders,
         [&](std::size_t i) {

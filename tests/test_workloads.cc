@@ -363,84 +363,6 @@ TEST(Registry, ColocationBundleHasTwoProcs)
     EXPECT_EQ(b.traces[1].proc, 1u);
 }
 
-TEST(Interleave, CountEqualsSumForUnequalTails)
-{
-    // Three traces of unequal length: the round-robin must keep
-    // rotating as shorter traces drop out, so every op survives the
-    // merge (the classic tail-loss bug loses the longest trace's
-    // remainder once the others are exhausted).
-    AddrSpace as;
-    as.alloc(0, "buf", 1 << 20);
-    const Addr base = as.base();
-    auto makeTrace = [&](std::size_t n, unsigned proc) {
-        Trace t;
-        t.name = "t" + std::to_string(proc);
-        t.proc = proc;
-        for (std::size_t i = 0; i < n; i++)
-            t.load(base + 64 * i);
-        return t;
-    };
-    const std::vector<Trace> traces = {makeTrace(5, 0), makeTrace(3, 1),
-                                       makeTrace(1, 2)};
-    const Trace merged = interleaveTraces(traces);
-    EXPECT_EQ(merged.size(), 5u + 3u + 1u);
-    EXPECT_EQ(merged.proc, 0u);
-    EXPECT_FALSE(merged.loop);
-
-    // Exact round-robin with drop-out: 012 01 01 0 0.
-    const std::size_t expectFrom[] = {0, 1, 2, 0, 1, 0, 1, 0, 0};
-    std::vector<std::size_t> cursor(traces.size(), 0);
-    for (std::size_t i = 0; i < merged.size(); i++) {
-        const std::size_t src = expectFrom[i];
-        EXPECT_EQ(merged.ops[i].vaddr(),
-                  traces[src].ops[cursor[src]++].vaddr())
-            << "merge order diverged at op " << i;
-    }
-}
-
-TEST(Interleave, ColocationMergePreservesEveryOp)
-{
-    WorkloadOptions opt;
-    opt.scale = 0.1;
-    // Raw builders (no init pass): the merge must preserve every op,
-    // whichever trace runs out first.
-    const WorkloadBundle split = makeMasimColocation(opt);
-    std::size_t sum = 0;
-    for (const Trace &t : split.traces)
-        sum += t.size();
-    EXPECT_EQ(interleaveTraces(split.traces).size(), sum);
-
-    const WorkloadBundle raw = makeMasimColocationInterleaved(opt);
-    ASSERT_EQ(raw.traces.size(), 1u);
-    EXPECT_EQ(raw.traces[0].size(), sum);
-    EXPECT_EQ(raw.traces[0].proc, 0u);
-
-    // Through the registry the merged bundle gets its own single
-    // init pass (the split one gets per-process passes), so it stays
-    // a well-formed legacy-compat workload rather than an identical
-    // op count.
-    const WorkloadBundle b =
-        makeWorkload("masim-coloc-interleaved", opt);
-    ASSERT_EQ(b.traces.size(), 1u);
-    EXPECT_GE(b.traces[0].size(), sum);
-}
-
-TEST(Interleave, LoopingInputThrows)
-{
-    AddrSpace as;
-    as.alloc(0, "buf", 1 << 20);
-    Trace t;
-    t.proc = 0;
-    t.loop = true;
-    t.load(as.base());
-    try {
-        interleaveTraces({t});
-        FAIL() << "expected WorkloadError";
-    } catch (const WorkloadError &e) {
-        EXPECT_NE(std::string(e.what()).find("loop"), std::string::npos);
-    }
-}
-
 TEST(Registry, ColocationNScalesTenantCount)
 {
     for (unsigned n : {2u, 5u}) {
