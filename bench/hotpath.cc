@@ -171,6 +171,14 @@ BENCHMARK_CAPTURE(engineDaemon, coloc16_PACT_p200k, "masim-coloc16",
                   "PACT", 200000)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(engineDaemon, coloc16_PACT_p100k, "masim-coloc16",
                   "PACT", 100000)->Unit(benchmark::kMillisecond);
+// Short-window rows from healthy runs: the PACT p100k/p200k rows above
+// time runs that livelock into the wall-cycle cap, so they price the
+// migration storm. TPP and Colloid complete at 200k, and their ticks
+// are dominated by NUMA-hint arming (TierManager::armHints).
+BENCHMARK_CAPTURE(engineDaemon, coloc16_TPP_p200k, "masim-coloc16", "TPP",
+                  200000)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(engineDaemon, coloc16_Colloid_p200k, "masim-coloc16",
+                  "Colloid", 200000)->Unit(benchmark::kMillisecond);
 
 int
 main(int argc, char **argv)

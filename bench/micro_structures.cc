@@ -285,6 +285,42 @@ BM_LruVictims(benchmark::State &state)
 BENCHMARK(BM_LruVictims);
 
 /**
+ * One NUMA-hint scan period through TierManager::armHints. Arg 0 is
+ * log2 of the page count, half of the pages (at random) on the slow
+ * tier. Arg 1 picks the batch: 0 is the TPP shape (every slow page,
+ * a full lap each call), 1 the Colloid shape (4096 pages). Between
+ * scans 64 random pages take a hint fault (disarmHint), so, as in a
+ * steady-state run, almost every page the scan reaches is still armed.
+ */
+static void
+BM_HintArm(benchmark::State &state)
+{
+    const std::uint64_t pages = std::uint64_t{1} << state.range(0);
+    TierManager tm(pages, pages);
+    Rng rng(12);
+    for (PageId p = 0; p < pages; p++) {
+        tm.touch(p, 0, false);
+        if (rng.below(2))
+            tm.place(p, TierId::Slow);
+    }
+    const std::uint64_t batch =
+        state.range(1) == 0 ? tm.used(TierId::Slow) : 4096;
+    PageId cursor = 0;
+    std::uint64_t armed = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < 64; i++)
+            tm.disarmHint(rng.below(pages));
+        armed += tm.armHints(cursor, batch);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(armed));
+}
+BENCHMARK(BM_HintArm)
+    ->Args({15, 0})
+    ->Args({15, 1})
+    ->Args({18, 0})
+    ->Args({18, 1});
+
+/**
  * The per-op CPU loop in isolation (no daemon, no migrations): a
  * looping trace of independent loads with compute gaps drives the
  * retire/advance machinery, the event-driven TOR sweep, and the fused

@@ -154,6 +154,21 @@ report(const RunResult &r)
     tt.print();
 }
 
+/**
+ * A run cut short at maxWallCycles changes what every number means, so
+ * it is reported on stderr whatever the log setting.
+ */
+void
+warnIfTruncated(const RunResult &r, const SimConfig &cfg)
+{
+    if (r.stats.completed)
+        return;
+    std::fprintf(stderr,
+                 "warning: run truncated at maxWallCycles (%llu cycles); "
+                 "results are incomplete\n",
+                 static_cast<unsigned long long>(cfg.maxWallCycles));
+}
+
 /** Split a comma-separated list, skipping empty fields. */
 std::vector<std::string>
 splitCsv(const std::string &csv)
@@ -347,10 +362,13 @@ cliMain(int argc, char **argv)
         for (const RunOutcome &o : outcomes) {
             if (o.ok) {
                 const RunResult &r = o.result;
-                t.row()
-                    .cell(r.policy)
-                    .cell(r.slowdownPct, 1)
-                    .cellCount(r.stats.promotions())
+                warnIfTruncated(r, cfg);
+                t.row().cell(r.policy);
+                if (r.stats.completed)
+                    t.cell(r.slowdownPct, 1);
+                else
+                    t.cell("TRUNCATED");
+                t.cellCount(r.stats.promotions())
                     .cellCount(r.stats.demotions())
                     .cellCount(r.stats.pmu.hintFaults);
             } else {
@@ -396,6 +414,7 @@ cliMain(int argc, char **argv)
         tenantsMode ? runner.runTenants(*bundle, policy, share, &observers)
                     : runner.run(*bundle, policy, share, &observers);
     report(r);
+    warnIfTruncated(r, cfg);
     std::vector<obs::ManifestResult> results = {manifestResult(r)};
     results.back().fastShare = share;
 

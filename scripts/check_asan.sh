@@ -27,7 +27,7 @@ fi
 
 cmake -B "$build" -S "$repo" -DPACT_SANITIZE=address
 cmake --build "$build" -j --target test_robustness test_txn test_pool \
-    test_trace_store test_multicore test_cache
+    test_trace_store test_multicore test_cache test_tier_manager
 
 # halt_on_error so the first report fails the script rather than
 # scrolling past; the robustness tests drive every fault class plus
@@ -50,6 +50,13 @@ PACT_JOBS=4 ASAN_OPTIONS="halt_on_error=1" \
 # the model is tested at.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_cache"
+
+# The hint-arming index masks the first and last word of each range by
+# shifts of the page index's low six bits; a shift by 64 is undefined
+# behaviour that UBSan reports. The reference-model test drives ranges
+# starting and ending on and off word boundaries.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    "$build/tests/test_tier_manager"
 
 # Multi-tenant engine with 4 tenants on shared tiers: per-tenant
 # PEBS/PMU/daemon state plus the flat core array is exactly the kind

@@ -1,6 +1,7 @@
 #include "mem/tier_manager.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -8,12 +9,26 @@
 namespace pact
 {
 
+namespace
+{
+
+/** 64-bit words holding one bit per page. */
+std::uint64_t
+bitWords(std::uint64_t pages)
+{
+    return (pages + 63) / 64;
+}
+
+} // namespace
+
 TierManager::TierManager(std::uint64_t total_pages,
                          std::uint64_t fast_capacity_pages)
     : meta_(total_pages),
       firstTouchOverride_(total_pages, 0xff),
       regionRef_((total_pages + PagesPerHugePage - 1) / PagesPerHugePage,
                  0),
+      slowBits_(bitWords(total_pages), 0),
+      armedBits_(bitWords(total_pages), 0),
       fastCapacity_(fast_capacity_pages)
 {
 }
@@ -26,6 +41,8 @@ TierManager::resize(std::uint64_t total_pages)
         firstTouchOverride_.resize(total_pages, 0xff);
         regionRef_.resize(
             (total_pages + PagesPerHugePage - 1) / PagesPerHugePage, 0);
+        slowBits_.resize(bitWords(total_pages), 0);
+        armedBits_.resize(bitWords(total_pages), 0);
     }
 }
 
@@ -40,6 +57,7 @@ TierManager::materialize(PageId page, ProcId proc, bool huge, TierId tier)
     }
     m.tier = static_cast<std::uint8_t>(tier);
     m.owner = static_cast<std::uint8_t>(proc);
+    setSlowBit(page, tier == TierId::Slow);
     used_[tierIndex(tier)]++;
     touchedCount_++;
 }
@@ -92,6 +110,7 @@ TierManager::place(PageId page, TierId tier)
     used_[tierIndex(cur)]--;
     used_[tierIndex(tier)]++;
     m.tier = static_cast<std::uint8_t>(tier);
+    setSlowBit(page, tier == TierId::Slow);
 
     // Publish the tier change to ring consumers. A same-tier place is
     // not recorded above: it changes nothing a consumer could index.
@@ -99,6 +118,77 @@ TierManager::place(PageId page, TierId tier)
         placeRing_.resize(PlaceRingCap);
     placeRing_[placeSeq_ & (PlaceRingCap - 1)] = page;
     placeSeq_++;
+}
+
+void
+TierManager::setSlowBit(PageId page, bool slow)
+{
+    const std::uint64_t bit = std::uint64_t{1} << (page & 63);
+    if (slow)
+        slowBits_[page >> 6] |= bit;
+    else
+        slowBits_[page >> 6] &= ~bit;
+}
+
+void
+TierManager::armWord(std::uint64_t w, std::uint64_t bits)
+{
+    // Only pages the mirror does not already cover need a flag write.
+    std::uint64_t fresh = bits & ~armedBits_[w];
+    armedBits_[w] |= fresh;
+    for (; fresh; fresh &= fresh - 1)
+        meta_[(w << 6) + std::countr_zero(fresh)].flags |=
+            PageFlags::HintArmed;
+}
+
+std::uint64_t
+TierManager::armHints(PageId &cursor, std::uint64_t batch)
+{
+    const std::uint64_t total = meta_.size();
+    if (batch == 0 || total == 0)
+        return 0;
+    const PageId start = cursor >= total ? 0 : cursor;
+    std::uint64_t armed = 0;
+
+    // Arm the slow pages of [lo, hi) in ascending order. Returns true
+    // once the batch is full, with the cursor one past the last page
+    // armed: the final word keeps only its lowest `need` slow bits.
+    auto sweep = [&](PageId lo, PageId hi) {
+        if (lo >= hi)
+            return false;
+        const std::uint64_t first = lo >> 6;
+        const std::uint64_t last = (hi - 1) >> 6;
+        for (std::uint64_t w = first; w <= last; w++) {
+            std::uint64_t bits = slowBits_[w];
+            if (w == first)
+                bits &= ~std::uint64_t{0} << (lo & 63);
+            if (w == last && (hi & 63) != 0)
+                bits &= (std::uint64_t{1} << (hi & 63)) - 1;
+            if (bits == 0)
+                continue;
+            const std::uint64_t need = batch - armed;
+            if (static_cast<std::uint64_t>(std::popcount(bits)) >= need) {
+                std::uint64_t beyond = bits;
+                for (std::uint64_t k = 0; k < need; k++)
+                    beyond &= beyond - 1;
+                bits ^= beyond;
+                armWord(w, bits);
+                armed = batch;
+                cursor = (w << 6) + (64 - std::countl_zero(bits));
+                return true;
+            }
+            armWord(w, bits);
+            armed += std::popcount(bits);
+        }
+        return false;
+    };
+    if (sweep(start, total) || sweep(0, start))
+        return armed;
+    // A full lap without filling the batch leaves the cursor where
+    // the page-by-page walk would: back at its start, or at the end
+    // of the array when the lap began at page 0.
+    cursor = start == 0 ? total : start;
+    return armed;
 }
 
 bool
@@ -203,6 +293,36 @@ TierManager::auditConsistency() const
     throw_invariant_if(huge != hugeCount_,
                        "audit: huge-page count mismatch: ", huge,
                        " counted vs ", hugeCount_, " recorded");
+    // Hint-arming index: the slow-residency bitmap is an exact recount
+    // of touched slow-tier pages; an armed-mirror bit needs its flag.
+    for (std::uint64_t w = 0; w < slowBits_.size(); w++) {
+        std::uint64_t slow = 0;
+        std::uint64_t flagged = 0;
+        for (PageId p = w << 6; p < std::min<PageId>((w + 1) << 6,
+                                                     meta_.size());
+             p++) {
+            const PageMeta &m = meta_[p];
+            const std::uint64_t bit = std::uint64_t{1} << (p & 63);
+            if ((m.flags & PageFlags::Touched) &&
+                m.tier == static_cast<std::uint8_t>(TierId::Slow))
+                slow |= bit;
+            if (m.flags & PageFlags::HintArmed)
+                flagged |= bit;
+        }
+        const std::uint64_t badSlow = slow ^ slowBits_[w];
+        throw_invariant_if(badSlow != 0, "audit: page ",
+                           (w << 6) + std::countr_zero(badSlow),
+                           " slow-residency bit is ",
+                           (slowBits_[w] & badSlow) ? "set" : "clear",
+                           " but the page is ",
+                           (slow & badSlow) ? "" : "not ",
+                           "a touched slow-tier page");
+        const std::uint64_t badArmed = armedBits_[w] & ~flagged;
+        throw_invariant_if(badArmed != 0, "audit: page ",
+                           (w << 6) + std::countr_zero(badArmed),
+                           " is in the armed mirror but lacks HintArmed "
+                           "(flag cleared without disarmHint)");
+    }
     for (std::size_t r = 0; r < regionRef.size(); r++) {
         throw_invariant_if(regionRef[r] != regionRef_[r],
                            "audit: region ", r,

@@ -148,6 +148,35 @@ class TierManager
         return true;
     }
 
+    // --- hint-arming index -----------------------------------------
+    // Two bit-per-page indexes let the NUMA-hint scanner arm a batch
+    // one 64-page word at a time instead of probing pages one by one.
+    // The slow-residency bitmap has a page's bit set iff the page is
+    // touched and resident on the slow tier; materialize() and place()
+    // keep it exact. The armed mirror has a bit set only if the page
+    // carries PageFlags::HintArmed: armHints() sets both, disarmHint()
+    // clears both, so a mirrored page needs no flag write when it is
+    // re-armed. The flag itself stays in PageMeta::flags, where the CPU
+    // hot path reads it in the same load as the page's tier.
+
+    /**
+     * Arm up to @p batch touched slow-tier pages with HintArmed,
+     * walking ascending from @p cursor (0 once it reaches the end) and
+     * wrapping once. Pages already armed count toward the batch.
+     * Returns the number of slow pages counted; @p cursor ends one
+     * past the last page counted when the batch fills, and otherwise
+     * where the walk started (totalPages() if that was page 0).
+     */
+    std::uint64_t armHints(PageId &cursor, std::uint64_t batch);
+
+    /** Clear a page's HintArmed flag (the only way to clear it). */
+    void
+    disarmHint(PageId page)
+    {
+        meta_[page].flags &= ~PageFlags::HintArmed;
+        armedBits_[page >> 6] &= ~(std::uint64_t{1} << (page & 63));
+    }
+
     // --- per-huge-region referenced counters -----------------------
     // Incremental count of pages per 2MB region carrying both Huge and
     // Referenced, replacing the daemon's 512-subpage loop per demotion
@@ -255,10 +284,13 @@ class TierManager
      * tier, per-tier residency matches the used() accounting, touched
      * and huge counts are conserved, fast-tier usage (including any
      * shadow-reserved frames) respects the capacity, and Shadowed
-     * implies fast residency. Audits run at transaction-quiescent
-     * points (daemon-window boundaries, end of run), so any open
-     * migration-transaction shadow is leaked residue and a violation:
-     * committed + aborted transactions must both leave zero shadows.
+     * implies fast residency. The hint-arming index is checked too:
+     * the slow-residency bitmap against an exact recount, and every
+     * armed-mirror bit against its page's HintArmed flag. Audits run
+     * at transaction-quiescent points (daemon-window boundaries, end
+     * of run), so any open migration-transaction shadow is leaked
+     * residue and a violation: committed + aborted transactions must
+     * both leave zero shadows.
      * O(totalPages); throws InvariantError with a dump of the first
      * violation.
      */
@@ -274,6 +306,9 @@ class TierManager
     };
 
     void materialize(PageId page, ProcId proc, bool huge, TierId tier);
+    void setSlowBit(PageId page, bool slow);
+    /** Set HintArmed on the pages of word @p w named by @p bits. */
+    void armWord(std::uint64_t w, std::uint64_t bits);
     void releaseShadow(PageId base, std::uint64_t pages, TierId dst,
                        const char *what);
 
@@ -285,6 +320,10 @@ class TierManager
     std::vector<std::uint8_t> firstTouchOverride_;
     /** Huge-and-referenced page count per 2MB region. */
     std::vector<std::uint16_t> regionRef_;
+    /** Bit per page: touched and resident on the slow tier. */
+    std::vector<std::uint64_t> slowBits_;
+    /** Bit per page: set only if the page carries HintArmed. */
+    std::vector<std::uint64_t> armedBits_;
     /** Circular buffer of place() page ids (lazily allocated). */
     std::vector<PageId> placeRing_;
     std::uint64_t placeSeq_ = 0;

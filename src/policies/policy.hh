@@ -26,7 +26,10 @@ namespace pact
  * Emulates NUMA-balancing page-table scanning: each tick a policy arms
  * a batch of slow-tier pages so their next access takes a hint fault.
  * The cursor wraps around the address space, as the kernel's virtual
- * address scanner does.
+ * address scanner does. The scanner owns only the pacing and the
+ * cursor; TierManager::armHints does the walk a 64-page word at a
+ * time over its slow-residency bitmap, skipping the flag write for
+ * pages that are still armed from an earlier pass.
  */
 class HintScanner
 {
@@ -56,27 +59,7 @@ class HintScanner
             scale_ = std::min(scale_ * 2.0, 1.0);
         batch = static_cast<std::uint64_t>(
             static_cast<double>(batch) * scale_);
-        if (batch == 0)
-            return;
-
-        const std::uint64_t total = ctx.tm.totalPages();
-        if (total == 0)
-            return;
-        std::uint64_t armed = 0;
-        std::uint64_t walked = 0;
-        while (armed < batch && walked < total) {
-            if (cursor_ >= total)
-                cursor_ = 0;
-            const PageId page = cursor_++;
-            walked++;
-            if (!ctx.tm.touched(page))
-                continue;
-            PageMeta &m = ctx.tm.meta(page);
-            if (static_cast<TierId>(m.tier) != TierId::Slow)
-                continue;
-            m.flags |= PageFlags::HintArmed;
-            armed++;
-        }
+        ctx.tm.armHints(cursor_, batch);
     }
 
     /** Per-period fault budget driving the adaptive back-off. */

@@ -159,7 +159,7 @@ Cpu::doAccess(const TraceOp &op)
     // NUMA hint fault: the policy unmapped this page to observe the
     // next access; the access traps, costing the process fault cycles.
     if (m.flags & PageFlags::HintArmed) {
-        m.flags &= ~PageFlags::HintArmed;
+        tm_.disarmHint(page);
         pmu_.hintFaults++;
         addPenalty(cfg_.cpu.hintFaultCycles);
         if (listener_)

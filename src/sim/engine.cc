@@ -690,6 +690,7 @@ Engine::runUntil(Cycles until)
         if (now_ >= cfg_.maxWallCycles) {
             warn("run exceeded maxWallCycles; cutting short");
             finished_ = true;
+            truncated_ = !allPrimariesDone();
             for (auto &cpu : cpus_)
                 cpu->drainInflight();
             finishRun();
@@ -732,6 +733,7 @@ Engine::snapshot() const
 {
     RunStats rs;
     rs.wallCycles = now_;
+    rs.completed = !truncated_;
     for (std::size_t i = 0; i < cpus_.size(); i++) {
         rs.procCycles.push_back(cpus_[i]->done() ? cpus_[i]->finishCycle()
                                                  : cpus_[i]->cycle());

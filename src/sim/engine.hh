@@ -83,6 +83,12 @@ struct RunStats
 
     /** Global slice clock when the last non-looping trace retired. */
     Cycles wallCycles = 0;
+    /**
+     * False when the run was cut short at SimConfig::maxWallCycles
+     * with a non-looping trace still unfinished: every count is then
+     * partial and the result must not be read as a finished run.
+     */
+    bool completed = true;
     /** Per-process finish cycle (0 for looping co-runners). */
     std::vector<Cycles> procCycles;
     /** Per-process retired op counts. */
@@ -312,6 +318,8 @@ class Engine : public MigrationBackend
     std::uint64_t daemonTicks_ = 0;
     bool started_ = false;
     bool finished_ = false;
+    /** Stopped at maxWallCycles before every primary trace retired. */
+    bool truncated_ = false;
     /** Periodic invariant audit (SimConfig::audit or PACT_AUDIT=1). */
     bool auditEnabled_ = false;
 };

@@ -60,6 +60,7 @@ TEST(Engine, RunsToCompletion)
     EXPECT_EQ(rs.procRetired[0], env.traces[0].size());
     EXPECT_GT(rs.procCycles[0], 0u);
     EXPECT_GE(rs.wallCycles, 0u);
+    EXPECT_TRUE(rs.completed);
 }
 
 TEST(Engine, DaemonTicksAtPeriod)
@@ -153,6 +154,7 @@ TEST(Engine, MaxWallCyclesCutsRunShort)
     const RunStats rs = e.run();
     EXPECT_LE(rs.wallCycles, env.cfg.maxWallCycles + env.cfg.slice);
     EXPECT_LT(rs.procRetired[0], env.traces[0].size());
+    EXPECT_FALSE(rs.completed);
     setLogQuiet(false);
 }
 
