@@ -203,7 +203,8 @@ main(int argc, char **argv)
         runManyOutcomes(runner, specs);
 
     // Tally survivors and transaction outcomes per policy; any failed
-    // run is a soak failure and is reported in full.
+    // run (thrown, or cut short at maxWallCycles) is a soak failure
+    // and is reported in full.
     struct PolicyTally
     {
         std::uint64_t runs = 0;
@@ -213,14 +214,15 @@ main(int argc, char **argv)
     std::uint64_t failed = 0;
     for (std::size_t i = 0; i < outcomes.size(); i++) {
         const RunOutcome &o = outcomes[i];
-        if (!o.ok) {
+        const obs::ManifestResult row = manifestOutcome(o);
+        if (!row.ok) {
             failed++;
             std::printf("FAIL schedule %zu: %s/%s faults='%s' seed=%llu\n"
                         "  %s: %s\n",
                         i, o.spec.bundle->name.c_str(),
                         o.spec.policy.c_str(), o.spec.mods.faults.c_str(),
                         static_cast<unsigned long long>(o.spec.mods.seed),
-                        o.error.kind.c_str(), o.error.message.c_str());
+                        row.errorKind.c_str(), row.errorMessage.c_str());
             continue;
         }
         PolicyTally &t = tallies[o.spec.policy];
@@ -281,7 +283,7 @@ main(int argc, char **argv)
     }
 
     if (failed > 0) {
-        std::printf("\nchaos soak FAILED: %llu of %zu runs died\n",
+        std::printf("\nchaos soak FAILED: %llu of %zu runs failed\n",
                     static_cast<unsigned long long>(failed),
                     outcomes.size());
         return 1;

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "harness/runner.hh"
+#include "harness/pool.hh"
 #include "policies/registry.hh"
 #include "sim/engine.hh"
 #include "workloads/registry.hh"
@@ -139,6 +139,39 @@ engineDaemon(benchmark::State &state, const char *workload,
     state.counters["period"] = static_cast<double>(period);
 }
 
+/**
+ * The figure-sweep shape through the public harness: Runner::run of
+ * the five graph-sweep policies at 1:1, one run at a time. The
+ * runner's DRAM-only baseline is computed before timing starts, so
+ * every timed run replays the LLC outcome stream that baseline
+ * recorded; the engineRun rows above build Engine directly and keep
+ * timing the live LLC probe.
+ */
+void
+runnerSweep(benchmark::State &state, const char *workload)
+{
+    setLogQuiet(true);
+    WorkloadOptions opt;
+    opt.scale = envScale(0.5);
+    const auto bundle = makeWorkloadShared(workload, opt);
+
+    Runner runner;
+    runner.baseline(*bundle);
+    std::vector<RunSpec> specs;
+    for (const char *p : {"PACT", "Memtis", "TPP", "Colloid", "NoTier"})
+        specs.push_back({bundle.get(), p, Runner::ratioShare(1, 1)});
+
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        for (const RunResult &r : runMany(runner, specs, 1)) {
+            for (const std::uint64_t n : r.stats.procRetired)
+                ops += n;
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+    state.counters["scale"] = opt.scale;
+}
+
 } // namespace
 
 // The tracked set: a pointer-chase/random workload (MSHR- and
@@ -154,6 +187,9 @@ BENCHMARK_CAPTURE(engineRun, bckron_PACT, "bc-kron", "PACT")
 BENCHMARK_CAPTURE(engineRun, silo_Memtis, "silo", "Memtis")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(engineTenants, coloc4_PACT, "masim-coloc4", "PACT")
+    ->Unit(benchmark::kMillisecond);
+// The graph-sweep unit through Runner::run: LLC outcome replay.
+BENCHMARK_CAPTURE(runnerSweep, bckron, "bc-kron")
     ->Unit(benchmark::kMillisecond);
 // The named two-process colocation on the same path (the serial
 // baseline of the DESIGN.md §7c measurements).

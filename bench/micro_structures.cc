@@ -366,35 +366,72 @@ BENCHMARK(BM_CpuAdvance);
  * sequential streams instead, so the prefetcher trains and most
  * tag-store fills are prefetch installs (the fill/victim path). Either
  * way every burst is installed as Cpu::doAccess does for touched pages.
+ * Arg 2 = 1 serves the same accesses from a recorded LlcOutcomes
+ * stream (replay mode) instead of probing the tag store.
  */
 static void
 BM_CacheAccess(benchmark::State &state)
 {
-    Cache cache(SimConfig{}.cache);
+    const CacheParams params = SimConfig{}.cache;
+    Cache cache(params);
     const unsigned log2_bytes = static_cast<unsigned>(state.range(0));
     const Addr mask = (Addr{1} << log2_bytes) - 1;
     const bool streaming = state.range(1) != 0;
     Rng rng(9);
     std::uint64_t i = 0;
-    for (auto _ : state) {
+    auto nextAddr = [&] {
         // Stream i % 4 starts a quarter of the footprint after the
         // previous one and advances one line per visit.
         const Addr vaddr =
             streaming ? ((i % 4) << (log2_bytes - 2)) + (i / 4) * LineBytes
                       : rng.next();
         i++;
-        const CacheResult r =
-            cache.access(vaddr & mask & ~Addr{LineBytes - 1});
+        return vaddr & mask & ~Addr{LineBytes - 1};
+    };
+    auto step = [](Cache &c, Addr vaddr) {
+        const CacheResult r = c.access(vaddr);
         if (r.prefetchLines > 0)
-            cache.installPrefetches(r.prefetchStart, r.prefetchLines);
-        benchmark::DoNotOptimize(r);
+            c.installPrefetches(r.prefetchStart, r.prefetchLines);
+        return r;
+    };
+
+    if (state.range(2) == 0) {
+        for (auto _ : state)
+            benchmark::DoNotOptimize(step(cache, nextAddr()));
+    } else {
+        // Replay: a window of the same address stream is recorded
+        // once, then served from the stream, re-armed at its end.
+        constexpr std::size_t Window = 1 << 16;
+        std::vector<Addr> window;
+        LlcOutcomes stream(params, {});
+        Cache recorder(params);
+        recorder.record(&stream);
+        for (std::size_t k = 0; k < Window; k++) {
+            window.push_back(nextAddr());
+            step(recorder, window.back());
+        }
+        cache.replay(&stream, false);
+        std::size_t k = 0;
+        for (auto _ : state) {
+            if (k == Window) {
+                cache.replay(&stream, false);
+                k = 0;
+            }
+            benchmark::DoNotOptimize(step(cache, window[k++]));
+        }
     }
     state.SetItemsProcessed(state.iterations());
     state.counters["prefetch_fill_frac"] = static_cast<double>(
         cache.prefetchIssued()) /
         static_cast<double>(cache.prefetchIssued() + cache.misses());
 }
-BENCHMARK(BM_CacheAccess)->Args({22, 0})->Args({28, 0})->Args({22, 1});
+BENCHMARK(BM_CacheAccess)
+    ->Args({22, 0, 0})
+    ->Args({28, 0, 0})
+    ->Args({22, 1, 0})
+    ->Args({22, 0, 1})
+    ->Args({28, 0, 1})
+    ->Args({22, 1, 1});
 
 /**
  * The single-PageMeta placement + LRU-membership resolve the CPU does

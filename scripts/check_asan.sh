@@ -27,7 +27,8 @@ fi
 
 cmake -B "$build" -S "$repo" -DPACT_SANITIZE=address
 cmake --build "$build" -j --target test_robustness test_txn test_pool \
-    test_trace_store test_multicore test_cache test_tier_manager
+    test_trace_store test_multicore test_cache test_tier_manager \
+    test_harness
 
 # halt_on_error so the first report fails the script rather than
 # scrolling past; the robustness tests drive every fault class plus
@@ -50,6 +51,12 @@ PACT_JOBS=4 ASAN_OPTIONS="halt_on_error=1" \
 # the model is tested at.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_cache"
+
+# LLC outcome replay decodes 2-bit codes out of 64-bit words by shift
+# and mask; the harness tests replay every registry policy over three
+# workloads, 4 KB and THP, and feed it corrupted streams.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    "$build/tests/test_harness"
 
 # The hint-arming index masks the first and last word of each range by
 # shifts of the page index's low six bits; a shift by 64 is undefined

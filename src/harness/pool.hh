@@ -81,6 +81,8 @@ struct RunOutcome
 {
     /** The spec this outcome answers (copied for the manifest). */
     RunSpec spec;
+    /** The run did not throw (it may still have been truncated; see
+     *  RunStats::completed and manifestOutcome()). */
     bool ok = false;
     /** Valid when ok. */
     RunResult result;
@@ -98,7 +100,10 @@ std::vector<RunOutcome> runManyOutcomes(Runner &runner,
                                         const std::vector<RunSpec> &specs,
                                         unsigned jobs = 0);
 
-/** Reshape an outcome (success or failure) for the manifest writer. */
+/**
+ * Reshape an outcome (success or failure) for the manifest writer. A
+ * thrown run and a truncated one both become `ok: false` rows.
+ */
 obs::ManifestResult manifestOutcome(const RunOutcome &o);
 
 } // namespace pact

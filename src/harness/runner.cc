@@ -26,11 +26,23 @@ Runner::capacityPages(const WorkloadBundle &bundle,
 const std::vector<Cycles> &
 Runner::baseline(const WorkloadBundle &bundle)
 {
+    return baselineRun(bundle).cycles;
+}
+
+std::shared_ptr<const LlcOutcomes>
+Runner::llcOutcomes(const WorkloadBundle &bundle)
+{
+    return baselineRun(bundle).llc;
+}
+
+const Runner::Baseline &
+Runner::baselineRun(const WorkloadBundle &bundle)
+{
     // First caller for a bundle installs the future and computes the
     // baseline outside the lock; concurrent callers wait on the same
     // future, so the baseline runs exactly once per bundle name.
-    std::promise<std::vector<Cycles>> promise;
-    std::shared_future<std::vector<Cycles>> future;
+    std::promise<Baseline> promise;
+    std::shared_future<Baseline> future;
     bool compute = false;
     {
         std::lock_guard<std::mutex> lock(baselineMutex_);
@@ -49,7 +61,11 @@ Runner::baseline(const WorkloadBundle &bundle)
             cfg.fastCapacityPages = bundle.rssPages() + 1024;
             auto policy = makePolicy("NoTier");
             Engine engine(cfg, bundle.as, &bundle.traces, policy.get());
-            promise.set_value(engine.run().procCycles);
+            engine.recordLlcOutcomes();
+            Baseline b;
+            b.cycles = engine.run().procCycles;
+            b.llc = engine.llcOutcomes();
+            promise.set_value(std::move(b));
         } catch (...) {
             // Every waiter on this bundle's future must see the error;
             // an unset promise would block them forever.
@@ -90,6 +106,16 @@ manifestResult(const RunResult &r)
         static_cast<std::uint64_t>(r.stats.txn.wastedCopyCycles);
     m.txn.backoffCycles =
         static_cast<std::uint64_t>(r.stats.txn.backoffCycles);
+    if (!r.stats.completed) {
+        // Every count of a run cut short is partial: record it as a
+        // failure, not as a result.
+        m.ok = false;
+        m.errorKind = "TruncatedRun";
+        m.errorMessage = detail::buildMessage(
+            r.workload, "/", r.policy, ": cut short at the maxWallCycles "
+            "cap of ", r.stats.maxWallCycles, " cycles after retiring ",
+            r.stats.primaryRetired, " of ", r.stats.primaryOps, " ops");
+    }
     return m;
 }
 
@@ -177,17 +203,18 @@ Runner::runWith(const WorkloadBundle &bundle, TieringPolicy &policy,
                 double fast_share, const std::string &label,
                 const RunObservers *obs, const RunOverrides *mods)
 {
-    const std::vector<Cycles> base = baseline(bundle);
+    const Baseline &base = baselineRun(bundle);
 
     SimConfig cfg = overriddenConfig(cfg_, mods);
     cfg.fastCapacityPages = capacityPages(bundle, fast_share);
     Engine engine(cfg, bundle.as, &bundle.traces, &policy);
+    engine.replayLlcOutcomes(base.llc);
     if (obs && obs->trace)
         engine.setTraceSink(obs->trace);
     if (obs && obs->events)
         engine.setEventJournal(obs->events);
 
-    return assembleResult(bundle, label, base,
+    return assembleResult(bundle, label, base.cycles,
                           driveEngine(engine, cfg, bundle, label, obs));
 }
 
@@ -199,7 +226,7 @@ Runner::runTenantsWith(const WorkloadBundle &bundle,
 {
     throw_config_if(bundle.traces.empty(),
                     "runTenantsWith: bundle has no traces");
-    const std::vector<Cycles> base = baseline(bundle);
+    const Baseline &base = baselineRun(bundle);
 
     // One tenant per trace, in trace order, so process index p and
     // tenant index p coincide and baselines line up.
@@ -218,13 +245,14 @@ Runner::runTenantsWith(const WorkloadBundle &bundle,
     SimConfig cfg = overriddenConfig(cfg_, mods);
     cfg.fastCapacityPages = capacityPages(bundle, fast_share);
     Engine engine(cfg, bundle.as, std::move(specs));
+    engine.replayLlcOutcomes(base.llc);
     if (obs && obs->trace)
         engine.setTraceSink(obs->trace);
     if (obs && obs->events)
         engine.setEventJournal(obs->events);
 
     RunResult res =
-        assembleResult(bundle, label, base,
+        assembleResult(bundle, label, base.cycles,
                        driveEngine(engine, cfg, bundle, label, obs));
     for (const RunStats::Tenant &t : res.stats.tenants) {
         RunResult::Tenant row;

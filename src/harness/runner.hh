@@ -54,7 +54,10 @@ struct RunResult
     RunStats stats;
 };
 
-/** A RunResult reshaped for the manifest exporter. */
+/**
+ * A RunResult reshaped for the manifest exporter. A run cut short at
+ * maxWallCycles becomes an `ok: false` row of error kind TruncatedRun.
+ */
 obs::ManifestResult manifestResult(const RunResult &r);
 
 /**
@@ -107,9 +110,19 @@ class Runner
     /**
      * DRAM-only baseline runtimes (one per process). Computed once
      * per bundle name and cached; concurrent callers for the same
-     * bundle block until the single computation finishes.
+     * bundle block until the single computation finishes. A
+     * single-trace bundle's baseline run also records its LLC outcome
+     * stream, cached beside the runtimes, which every later run of
+     * the bundle replays instead of probing the LLC (DESIGN.md §6).
      */
     const std::vector<Cycles> &baseline(const WorkloadBundle &bundle);
+
+    /**
+     * The bundle's cached LLC outcome stream (running the baseline
+     * first if needed); nullptr when its baseline did not record.
+     */
+    std::shared_ptr<const LlcOutcomes>
+    llcOutcomes(const WorkloadBundle &bundle);
 
     /**
      * Run under a registry policy name ("Soar" triggers the offline
@@ -166,14 +179,23 @@ class Runner
                                 double fast_share) const;
 
   private:
+    /** What the DRAM-only baseline run of one bundle leaves behind. */
+    struct Baseline
+    {
+        std::vector<Cycles> cycles;
+        /** Its LLC outcome stream (null for multi-trace bundles). */
+        std::shared_ptr<const LlcOutcomes> llc;
+    };
+
+    const Baseline &baselineRun(const WorkloadBundle &bundle);
+
     SimConfig cfg_;
     /**
      * Per-bundle baseline, held as a shared_future so that the first
      * caller computes while concurrent callers wait on the same
      * result instead of racing a duplicate run.
      */
-    std::map<std::string, std::shared_future<std::vector<Cycles>>>
-        baselines_;
+    std::map<std::string, std::shared_future<Baseline>> baselines_;
     std::mutex baselineMutex_;
 };
 

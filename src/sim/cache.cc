@@ -114,9 +114,8 @@ Cache::trainPrefetcher(std::uint64_t line, CacheResult &res)
 }
 
 CacheResult
-Cache::access(Addr vaddr)
+Cache::probe(std::uint64_t line)
 {
-    const std::uint64_t line = vaddr >> LineShift;
     CacheResult res;
     bool was_prefetched = false;
     res.hit = lookupFill(line, false, was_prefetched);
@@ -135,13 +134,72 @@ Cache::access(Addr vaddr)
 }
 
 void
-Cache::installPrefetches(std::uint64_t line, std::uint32_t count)
+Cache::streamExhausted() const
+{
+    throw_invariant("LLC replay: stream of ", in_->size(),
+                    " accesses ran out");
+}
+
+unsigned
+Cache::encode(const CacheResult &res, std::uint64_t line) const
+{
+    if (res.hit)
+        return res.prefetched ? LlcOutcomes::PrefetchHit : LlcOutcomes::Hit;
+    if (res.prefetchLines == 0)
+        return LlcOutcomes::Miss;
+    // The code stores only "a burst fired"; replay rebuilds its shape.
+    panic_if(res.prefetchLines != params_.prefetchDegree ||
+                 res.prefetchStart != line + 1,
+             "LLC record: burst of ", res.prefetchLines, " lines at ",
+             res.prefetchStart, " after line ", line,
+             " has no outcome code");
+    return LlcOutcomes::MissBurst;
+}
+
+CacheResult
+Cache::probeStreamed(std::uint64_t line)
+{
+    const CacheResult res = probe(line);
+    const unsigned code = encode(res, line);
+    if (mode_ == Mode::Record) {
+        out_->push(code);
+        return res;
+    }
+    const std::size_t at = cursor_;
+    const unsigned want = nextCode();
+    throw_invariant_if(code != want, "LLC replay diverged at access ", at,
+                       " (line ", line, "): recorded outcome ", want,
+                       ", live probe ", code);
+    return res;
+}
+
+void
+Cache::fillPrefetches(std::uint64_t line, std::uint32_t count)
 {
     bool dummy = false;
     for (std::uint32_t i = 0; i < count; i++) {
         lookupFill(line + i, true, dummy);
         prefetchIssued_++;
     }
+}
+
+void
+Cache::record(LlcOutcomes *out)
+{
+    panic_if(!out || out->params() != params_,
+             "Cache::record: stream params differ from the cache's");
+    mode_ = Mode::Record;
+    out_ = out;
+}
+
+void
+Cache::replay(const LlcOutcomes *in, bool verify)
+{
+    panic_if(!in || in->params() != params_,
+             "Cache::replay: stream params differ from the cache's");
+    mode_ = verify ? Mode::Verify : Mode::Replay;
+    in_ = in;
+    cursor_ = 0;
 }
 
 void

@@ -85,6 +85,8 @@ struct CacheParams
     unsigned prefetchDegree = 4;
     /** Number of concurrently tracked streams. */
     unsigned prefetchStreams = 16;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Out-of-order core parameters. */

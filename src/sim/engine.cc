@@ -706,9 +706,56 @@ Engine::runUntil(Cycles until)
     return true;
 }
 
+LlcOutcomes::Source
+Engine::llcSource() const
+{
+    if (cpus_.size() != 1 || traceOf_[0]->loop)
+        return {};
+    const Trace &t = *traceOf_[0];
+    return {&t, t.ops.data(), t.ops.size(), &as_};
+}
+
+bool
+Engine::recordLlcOutcomes()
+{
+    panic_if(started_, "recordLlcOutcomes: the run has started");
+    const LlcOutcomes::Source src = llcSource();
+    if (!src.ops || llcReplay_)
+        return false;
+    llcRecord_ = std::make_shared<LlcOutcomes>(cfg_.cache, src);
+    // An upper bound: every Load/Store is one access.
+    llcRecord_->reserve(src.opCount);
+    cache_.record(llcRecord_.get());
+    return true;
+}
+
+std::shared_ptr<const LlcOutcomes>
+Engine::llcOutcomes() const
+{
+    return finished_ && !truncated_ ? llcRecord_ : nullptr;
+}
+
+bool
+Engine::replayLlcOutcomes(std::shared_ptr<const LlcOutcomes> stream)
+{
+    panic_if(started_, "replayLlcOutcomes: the run has started");
+    const LlcOutcomes::Source src = llcSource();
+    if (!stream || !src.ops || llcRecord_ || stream->source() != src ||
+        stream->params() != cfg_.cache)
+        return false;
+    llcReplay_ = std::move(stream);
+    cache_.replay(llcReplay_.get(), auditEnabled_);
+    return true;
+}
+
 void
 Engine::finishRun()
 {
+    // A finished trace made exactly the accesses it recorded.
+    throw_invariant_if(llcReplay_ && !truncated_ &&
+                           cache_.replayed() != llcReplay_->size(),
+                       "LLC replay: run used ", cache_.replayed(),
+                       " of ", llcReplay_->size(), " recorded accesses");
     for (auto &t : tenants_) {
         if (!t->spec.policy)
             continue;
@@ -734,11 +781,16 @@ Engine::snapshot() const
     RunStats rs;
     rs.wallCycles = now_;
     rs.completed = !truncated_;
+    rs.maxWallCycles = cfg_.maxWallCycles;
     for (std::size_t i = 0; i < cpus_.size(); i++) {
         rs.procCycles.push_back(cpus_[i]->done() ? cpus_[i]->finishCycle()
                                                  : cpus_[i]->cycle());
         rs.procRetired.push_back(cpus_[i]->retired());
         rs.spans.push_back(cpus_[i]->spans());
+        if (!traceOf_[i]->loop) {
+            rs.primaryOps += traceOf_[i]->size();
+            rs.primaryRetired += cpus_[i]->retired();
+        }
     }
     rs.pmu = aggregatePmu();
     rs.migration = mig_.stats();

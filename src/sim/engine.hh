@@ -89,6 +89,12 @@ struct RunStats
      * partial and the result must not be read as a finished run.
      */
     bool completed = true;
+    /** SimConfig::maxWallCycles the run was held to. */
+    Cycles maxWallCycles = 0;
+    /** Ops in the non-looping traces: what a completed run retires. */
+    std::uint64_t primaryOps = 0;
+    /** Ops the non-looping traces retired. */
+    std::uint64_t primaryRetired = 0;
     /** Per-process finish cycle (0 for looping co-runners). */
     std::vector<Cycles> procCycles;
     /** Per-process retired op counts. */
@@ -194,7 +200,29 @@ class Engine : public MigrationBackend
     Pmu &pmu() { return tenants_[0]->pmu; }
     /** Machine-wide counters: field-wise sum over all tenants. */
     Pmu aggregatePmu() const;
-    Cache &cache() { return cache_; }
+
+    /**
+     * Record the outcome of every LLC access of this run (DESIGN.md
+     * §6, "LLC outcome replay"). Call before the first runUntil().
+     * Only a single-core run of a non-looping trace records.
+     * @return whether this engine records.
+     */
+    bool recordLlcOutcomes();
+
+    /** The recorded stream once the run completed, else nullptr. */
+    std::shared_ptr<const LlcOutcomes> llcOutcomes() const;
+
+    /**
+     * Serve LLC accesses from @p stream instead of probing the tag
+     * store. Taken only when this engine has exactly one core, its
+     * trace does not loop, and the stream was recorded from the same
+     * trace, address space and CacheParams; otherwise the live probe
+     * stays. Under audit (SimConfig::audit or PACT_AUDIT) the live
+     * probe also runs and throws InvariantError at the first outcome
+     * that differs. Call before the first runUntil().
+     * @return whether the stream is replayed.
+     */
+    bool replayLlcOutcomes(std::shared_ptr<const LlcOutcomes> stream);
 
     /** Number of tenants (1 on the legacy path). */
     std::size_t numTenants() const { return tenants_.size(); }
@@ -263,6 +291,9 @@ class Engine : public MigrationBackend
     void registerStats();
     void registerTenantStats(std::size_t i);
     void finishRun();
+    /** The LLC stream identity of this run; ops null when the run
+     *  cannot record or replay (several cores, or a looping trace). */
+    LlcOutcomes::Source llcSource() const;
 
     /** The next daemon window length (jittered when faults say so). */
     Cycles nextPeriod();
@@ -322,6 +353,9 @@ class Engine : public MigrationBackend
     bool truncated_ = false;
     /** Periodic invariant audit (SimConfig::audit or PACT_AUDIT=1). */
     bool auditEnabled_ = false;
+    /** LLC outcome stream this run records into, or replays. */
+    std::shared_ptr<LlcOutcomes> llcRecord_;
+    std::shared_ptr<const LlcOutcomes> llcReplay_;
 };
 
 } // namespace pact

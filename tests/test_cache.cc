@@ -395,6 +395,56 @@ TEST(Cache, MatchesArrayOfWaysReference)
     }
 }
 
+TEST(Cache, ReplayRebuildsEveryRecordedResult)
+{
+    CacheParams p = smallCache(true);
+    // Drop some bursts, as the CPU does for bursts into untouched
+    // pages: the decision is a function of the address alone.
+    auto installs = [](const CacheResult &r) {
+        return r.prefetchLines > 0 && (r.prefetchStart / 64) % 3 != 0;
+    };
+    auto drive = [&](Cache &c, std::vector<CacheResult> &out) {
+        std::uint64_t rng = 88172645463325252ull;
+        for (std::uint64_t i = 0; i < 30000; i++) {
+            const Pattern pat = (i / 1000) % 2 ? Pattern::Streaming
+                                               : Pattern::Random;
+            const CacheResult r =
+                c.access(patternLine(pat, i, 4096, rng) * LineBytes);
+            if (installs(r))
+                c.installPrefetches(r.prefetchStart, r.prefetchLines);
+            out.push_back(r);
+        }
+    };
+
+    Cache live(p);
+    LlcOutcomes stream(p, {});
+    live.record(&stream);
+    std::vector<CacheResult> want;
+    drive(live, want);
+    ASSERT_EQ(stream.size(), want.size());
+    EXPECT_GT(live.prefetchHits(), 0u);
+
+    for (const bool verify : {false, true}) {
+        Cache c(p);
+        c.replay(&stream, verify);
+        std::vector<CacheResult> got;
+        drive(c, got);
+        EXPECT_EQ(c.replayed(), stream.size());
+        for (std::size_t i = 0; i < want.size(); i++) {
+            ASSERT_EQ(got[i].hit, want[i].hit) << i;
+            ASSERT_EQ(got[i].prefetched, want[i].prefetched) << i;
+            ASSERT_EQ(got[i].prefetchLines, want[i].prefetchLines) << i;
+            ASSERT_EQ(got[i].prefetchStart, want[i].prefetchStart) << i;
+        }
+        EXPECT_EQ(c.hits(), live.hits());
+        EXPECT_EQ(c.misses(), live.misses());
+        EXPECT_EQ(c.prefetchHits(), live.prefetchHits());
+        EXPECT_EQ(c.prefetchIssued(), live.prefetchIssued());
+        // Past the end of the stream is an error, never a guess.
+        EXPECT_THROW_KIND(InvariantError, c.access(0), "ran out");
+    }
+}
+
 TEST(CacheDeath, ZeroAssocThrows)
 {
     CacheParams p;

@@ -306,3 +306,44 @@ TEST_F(PoolTest, SeedSweepDeterministicAcrossJobCounts)
     EXPECT_EQ(serial.stddevPct, parallel.stddevPct);
     EXPECT_EQ(serial.meanPromotions, parallel.meanPromotions);
 }
+
+TEST_F(PoolTest, TruncatedRunsWriteFailedManifestRows)
+{
+    const WorkloadBundle b = tinyBundle();
+    const std::vector<RunSpec> specs = {{&b, "PACT", 0.5},
+                                        {&b, "NoTier", 0.5}};
+
+    Runner healthy;
+    for (const RunOutcome &o : runManyOutcomes(healthy, specs, 2)) {
+        ASSERT_TRUE(o.ok);
+        EXPECT_TRUE(o.result.stats.completed);
+        const obs::ManifestResult m = manifestOutcome(o);
+        EXPECT_TRUE(m.ok);
+        EXPECT_TRUE(m.errorKind.empty());
+    }
+
+    SimConfig cfg;
+    cfg.maxWallCycles = 1000000;
+    Runner capped(cfg);
+    for (const RunOutcome &o : runManyOutcomes(capped, specs, 2)) {
+        // The run did not throw; it was cut short.
+        ASSERT_TRUE(o.ok);
+        const RunStats &st = o.result.stats;
+        EXPECT_FALSE(st.completed);
+        EXPECT_EQ(st.primaryOps, b.traces[0].size());
+        EXPECT_LT(st.primaryRetired, st.primaryOps);
+        EXPECT_FALSE(manifestResult(o.result).ok);
+
+        const obs::ManifestResult m = manifestOutcome(o);
+        EXPECT_FALSE(m.ok);
+        EXPECT_EQ(m.errorKind, "TruncatedRun");
+        EXPECT_EQ(m.fastShare, 0.5);
+        for (const std::string &part :
+             {std::string("maxWallCycles cap of 1000000 cycles"),
+              "retiring " + std::to_string(st.primaryRetired) + " of " +
+                  std::to_string(st.primaryOps) + " ops"}) {
+            EXPECT_NE(m.errorMessage.find(part), std::string::npos)
+                << m.errorMessage;
+        }
+    }
+}
