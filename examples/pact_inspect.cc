@@ -165,7 +165,7 @@ cmdSummary(const std::string &path)
         if (!r.at("ok").asBool())
             continue;
         if (const JsonValue *tenants = r.find("tenants");
-            tenants && tenants->size() > 0) {
+            tenants && tenants->size() > 1) {
             std::printf("\n%s tenants:\n", resultLabel(r).c_str());
             Table tt({"tenant", "slowdown", "retired ops",
                       "daemon ticks", "PEBS events"});

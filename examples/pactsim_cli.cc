@@ -65,7 +65,8 @@ usage()
         "                      from them (zero-copy) [.pact-traces]\n"
         "  --tenants [n]       multi-tenant mode: every trace becomes\n"
         "                      a tenant with its own core and policy\n"
-        "                      daemon (per-tenant tenant<i>.* stats);\n"
+        "                      daemon (tenant<i>.* stats when there\n"
+        "                      are two or more);\n"
         "                      with n, runs the n-process colocation\n"
         "                      workload masim-coloc<n>\n"
         "  --sweep             run every policy at the given ratio\n"
@@ -138,7 +139,7 @@ report(const RunResult &r)
         2);
     t.print();
 
-    if (r.tenants.empty())
+    if (r.tenants.size() < 2)
         return;
     std::printf("\nper-tenant (shared LLC/tiers, one daemon each):\n");
     Table tt({"tenant", "slowdown", "retired ops", "daemon ticks",
@@ -147,7 +148,7 @@ report(const RunResult &r)
         tt.row()
             .cell(tn.name)
             .cell(pct(tn.slowdownPct))
-            .cellCount(tn.retired)
+            .cellCount(tn.retiredOps)
             .cellCount(tn.daemonTicks)
             .cellCount(tn.pebsEvents);
     }
@@ -437,10 +438,10 @@ cliMain(int argc, char **argv)
     if (!tracePath.empty()) {
         // The journal's per-page migration slices land on the same
         // per-tenant migration lanes the engine uses for its copy
-        // spans (legacy runs: the single tid-1 lane).
+        // spans.
         if (journal) {
-            journal->mergeIntoTrace(trace, [&](std::uint32_t tenant) {
-                return tenantsMode ? static_cast<int>(2 * tenant + 1) : 1;
+            journal->mergeIntoTrace(trace, [](std::uint32_t tenant) {
+                return static_cast<int>(Engine::migrationLane(tenant));
             });
         }
         std::ofstream os(tracePath, std::ios::binary);

@@ -8,7 +8,7 @@ flags, then checks:
     simulator config, a non-empty stat dump per result, a well-formed
     per-result "tenants" array, well-formed per-result
     "distributions" snapshots, and a per-result "txn" outcome block
-    (pact.manifest/5);
+    (pact.manifest/6);
   * a poisoned sweep (one unknown policy name among good ones)
     completes, records a structured error for the failed run, keeps
     every surviving result, and stays byte-identical across job
@@ -56,7 +56,7 @@ import subprocess
 import sys
 import tempfile
 
-MANIFEST_SCHEMA = "pact.manifest/5"
+MANIFEST_SCHEMA = "pact.manifest/6"
 TIMESERIES_SCHEMA = "pact.timeseries/2"
 EVENTS_SCHEMA = "pact.events/1"
 BENCH_PERF_SCHEMA = "pact.bench_perf/1"
@@ -168,20 +168,33 @@ def validate_manifest(path):
               "stat values are numeric")
         check("engine.cache.misses" in stats,
               "engine stat hierarchy present")
-        # pact.manifest/3: every ok result carries a tenants array
-        # (empty for legacy single-daemon runs).
+        # pact.manifest/6: every ok result carries at least one tenant
+        # row (a single-daemon run is one tenant holding every trace).
         tenants = r.get("tenants")
-        check(isinstance(tenants, list), "result carries a tenants array")
-        for t in tenants if isinstance(tenants, list) else []:
+        if not isinstance(tenants, list):
+            tenants = []
+            check(False, "result carries a tenants array")
+        check(len(tenants) >= 1, "result carries at least one tenant row")
+        for t in tenants:
             check(isinstance(t.get("name"), str) and t["name"],
                   "tenant row carries a name")
             for key in ("slowdown_pct", "retired_ops", "cycles",
                         "daemon_ticks", "pebs_events"):
                 check(isinstance(t.get(key), (int, float)),
                       f"tenant {t.get('name')} carries {key}")
+        # Only a colocation of two or more tenants registers
+        # "<name>." subtrees; a lone tenant's stats land unprefixed.
+        coloc = len(tenants) > 1
+        subtrees = {n[:-len(".daemon.ticks")] for n in stats
+                    if n.endswith(".daemon.ticks")
+                    and n != "engine.daemon.ticks"}
+        expected = {t.get("name") for t in tenants} if coloc else set()
+        check(subtrees == expected,
+              f"<name>.daemon.ticks subtrees exist exactly for a "
+              f"colocation ({len(tenants)} rows, {len(subtrees)} "
+              f"subtrees)")
         if r["policy"].startswith("PACT"):
-            prefix = (tenants[0].get("name", "") + ".") \
-                if isinstance(tenants, list) and tenants else ""
+            prefix = tenants[0].get("name", "") + "." if coloc else ""
             check(f"{prefix}pact.ticks" in stats,
                   "policy stat hierarchy present")
         # Per-phase daemon accounting: for every daemon (machine-wide

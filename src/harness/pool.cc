@@ -28,6 +28,16 @@ class LogTagScope
     std::string prev_;
 };
 
+/** Run one spec on the tenant or the single-daemon path it names. */
+RunResult
+runSpec(Runner &runner, const RunSpec &s)
+{
+    return s.tenants ? runner.runTenants(*s.bundle, s.policy, s.share,
+                                         nullptr, &s.mods)
+                     : runner.run(*s.bundle, s.policy, s.share, nullptr,
+                                  &s.mods);
+}
+
 } // namespace
 
 std::vector<RunResult>
@@ -41,11 +51,7 @@ runMany(Runner &runner, const std::vector<RunSpec> &specs, unsigned jobs)
             panic_if(!s.bundle, "runMany: spec without bundle");
             // Narrow the thread's log tag to the run for its duration.
             const LogTagScope tag(s.bundle->name + "/" + s.policy);
-            out[i] = s.tenants
-                         ? runner.runTenants(*s.bundle, s.policy, s.share,
-                                             nullptr, &s.mods)
-                         : runner.run(*s.bundle, s.policy, s.share,
-                                      nullptr, &s.mods);
+            out[i] = runSpec(runner, s);
         },
         jobs);
     return out;
@@ -65,12 +71,7 @@ runManyOutcomes(Runner &runner, const std::vector<RunSpec> &specs,
             o.spec = s;
             const LogTagScope tag(s.bundle->name + "/" + s.policy);
             try {
-                o.result =
-                    s.tenants
-                        ? runner.runTenants(*s.bundle, s.policy, s.share,
-                                            nullptr, &s.mods)
-                        : runner.run(*s.bundle, s.policy, s.share,
-                                     nullptr, &s.mods);
+                o.result = runSpec(runner, s);
                 o.ok = true;
             } catch (const SimError &e) {
                 o.error = {e.kind(), e.what()};

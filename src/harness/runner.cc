@@ -83,16 +83,7 @@ manifestResult(const RunResult &r)
     m.policy = r.policy;
     m.slowdownPct = r.slowdownPct;
     m.procSlowdownPct = r.procSlowdownPct;
-    for (const RunResult::Tenant &t : r.tenants) {
-        obs::ManifestResult::Tenant mt;
-        mt.name = t.name;
-        mt.slowdownPct = t.slowdownPct;
-        mt.retiredOps = t.retired;
-        mt.cycles = t.cycles;
-        mt.daemonTicks = t.daemonTicks;
-        mt.pebsEvents = t.pebsEvents;
-        m.tenants.push_back(std::move(mt));
-    }
+    m.tenants = r.tenants;
     m.runtimeCycles = r.runtime;
     m.stats = r.stats.registry;
     m.dists = r.stats.dists;
@@ -171,7 +162,7 @@ driveEngine(Engine &engine, const SimConfig &cfg,
     return engine.run();
 }
 
-/** Per-process slowdowns vs baseline + headline fields. */
+/** Per-process slowdowns vs baseline, headline fields, tenant rows. */
 RunResult
 assembleResult(const WorkloadBundle &bundle, const std::string &label,
                const std::vector<Cycles> &base, RunStats stats)
@@ -192,6 +183,25 @@ assembleResult(const WorkloadBundle &bundle, const std::string &label,
     res.runtime = stats.procCycles.empty() ? 0 : stats.procCycles[0];
     res.slowdownPct =
         res.procSlowdownPct.empty() ? 0.0 : res.procSlowdownPct[0];
+    for (const RunStats::Tenant &t : stats.tenants) {
+        RunResult::Tenant row;
+        row.name = t.name;
+        double sum = 0.0;
+        std::size_t n = 0;
+        for (std::size_t p : t.procs) {
+            if (!bundle.traces[p].loop) {
+                sum += res.procSlowdownPct[p];
+                n++;
+            }
+        }
+        // Mean slowdown over the tenant's non-looping processes.
+        row.slowdownPct = n ? sum / static_cast<double>(n) : 0.0;
+        row.retiredOps = t.retired;
+        row.cycles = t.cycles;
+        row.daemonTicks = t.daemonTicks;
+        row.pebsEvents = t.pebsEvents;
+        res.tenants.push_back(std::move(row));
+    }
     res.stats = std::move(stats);
     return res;
 }
@@ -199,15 +209,15 @@ assembleResult(const WorkloadBundle &bundle, const std::string &label,
 } // namespace
 
 RunResult
-Runner::runWith(const WorkloadBundle &bundle, TieringPolicy &policy,
-                double fast_share, const std::string &label,
-                const RunObservers *obs, const RunOverrides *mods)
+Runner::runSpecs(const WorkloadBundle &bundle, std::vector<TenantSpec> specs,
+                 double fast_share, const std::string &label,
+                 const RunObservers *obs, const RunOverrides *mods)
 {
     const Baseline &base = baselineRun(bundle);
 
     SimConfig cfg = overriddenConfig(cfg_, mods);
     cfg.fastCapacityPages = capacityPages(bundle, fast_share);
-    Engine engine(cfg, bundle.as, &bundle.traces, &policy);
+    Engine engine(cfg, bundle.as, std::move(specs));
     engine.replayLlcOutcomes(base.llc);
     if (obs && obs->trace)
         engine.setTraceSink(obs->trace);
@@ -219,60 +229,32 @@ Runner::runWith(const WorkloadBundle &bundle, TieringPolicy &policy,
 }
 
 RunResult
+Runner::runWith(const WorkloadBundle &bundle, TieringPolicy &policy,
+                double fast_share, const std::string &label,
+                const RunObservers *obs, const RunOverrides *mods)
+{
+    TenantSpec spec;
+    for (const Trace &t : bundle.traces)
+        spec.traces.push_back(&t);
+    spec.policy = &policy;
+    return runSpecs(bundle, {spec}, fast_share, label, obs, mods);
+}
+
+RunResult
 Runner::runTenantsWith(const WorkloadBundle &bundle,
                        const PolicyFactory &factory, double fast_share,
                        const std::string &label, const RunObservers *obs,
                        const RunOverrides *mods)
 {
-    throw_config_if(bundle.traces.empty(),
-                    "runTenantsWith: bundle has no traces");
-    const Baseline &base = baselineRun(bundle);
-
     // One tenant per trace, in trace order, so process index p and
     // tenant index p coincide and baselines line up.
     std::vector<std::unique_ptr<TieringPolicy>> policies;
     std::vector<TenantSpec> specs;
-    policies.reserve(bundle.traces.size());
-    specs.reserve(bundle.traces.size());
-    for (std::size_t i = 0; i < bundle.traces.size(); i++) {
-        policies.push_back(factory(i));
-        TenantSpec s;
-        s.traces.push_back(&bundle.traces[i]);
-        s.policy = policies.back().get();
-        specs.push_back(std::move(s));
+    for (const Trace &t : bundle.traces) {
+        policies.push_back(factory(specs.size()));
+        specs.push_back({"", {&t}, policies.back().get()});
     }
-
-    SimConfig cfg = overriddenConfig(cfg_, mods);
-    cfg.fastCapacityPages = capacityPages(bundle, fast_share);
-    Engine engine(cfg, bundle.as, std::move(specs));
-    engine.replayLlcOutcomes(base.llc);
-    if (obs && obs->trace)
-        engine.setTraceSink(obs->trace);
-    if (obs && obs->events)
-        engine.setEventJournal(obs->events);
-
-    RunResult res =
-        assembleResult(bundle, label, base.cycles,
-                       driveEngine(engine, cfg, bundle, label, obs));
-    for (const RunStats::Tenant &t : res.stats.tenants) {
-        RunResult::Tenant row;
-        row.name = t.name;
-        double sum = 0.0;
-        std::size_t n = 0;
-        for (std::size_t p : t.procs) {
-            if (p < res.procSlowdownPct.size() && !bundle.traces[p].loop) {
-                sum += res.procSlowdownPct[p];
-                n++;
-            }
-        }
-        row.slowdownPct = n ? sum / static_cast<double>(n) : 0.0;
-        row.retired = t.retired;
-        row.cycles = t.cycles;
-        row.daemonTicks = t.daemonTicks;
-        row.pebsEvents = t.pebsEvents;
-        res.tenants.push_back(std::move(row));
-    }
-    return res;
+    return runSpecs(bundle, std::move(specs), fast_share, label, obs, mods);
 }
 
 RunResult

@@ -29,17 +29,8 @@ namespace pact
 /** One run's headline numbers. */
 struct RunResult
 {
-    /** One tenant's summary of a multi-tenant run. */
-    struct Tenant
-    {
-        std::string name;
-        /** Mean slowdown over the tenant's non-looping processes. */
-        double slowdownPct = 0.0;
-        std::uint64_t retired = 0;
-        Cycles cycles = 0;
-        std::uint64_t daemonTicks = 0;
-        std::uint64_t pebsEvents = 0;
-    };
+    /** One tenant's summary row, exactly as the manifest writes it. */
+    using Tenant = obs::ManifestResult::Tenant;
 
     std::string workload;
     std::string policy;
@@ -47,7 +38,7 @@ struct RunResult
     double slowdownPct = 0.0;
     /** Per-process percent slowdowns (colocation runs). */
     std::vector<double> procSlowdownPct;
-    /** Per-tenant rows (empty on the legacy single-daemon path). */
+    /** Per-tenant rows, one per tenant (never empty). */
     std::vector<Tenant> tenants;
     /** Primary-process runtime in cycles. */
     Cycles runtime = 0;
@@ -179,6 +170,16 @@ class Runner
                                 double fast_share) const;
 
   private:
+    /**
+     * The one run body every entry point shares: configure, build
+     * the engine from @p specs, attach replay and observers, drive,
+     * and assemble the result with one row per tenant.
+     */
+    RunResult runSpecs(const WorkloadBundle &bundle,
+                       std::vector<TenantSpec> specs, double fast_share,
+                       const std::string &label, const RunObservers *obs,
+                       const RunOverrides *mods);
+
     /** What the DRAM-only baseline run of one bundle leaves behind. */
     struct Baseline
     {

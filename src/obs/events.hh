@@ -77,7 +77,7 @@ struct PageEvent
     std::uint64_t seq = 0;     ///< emission order, monotonically increasing
     std::uint64_t now = 0;     ///< engine cycle at emission
     EventKind kind = EventKind::PebsSample;
-    std::uint32_t tenant = 0;  ///< owning tenant lane (0 in legacy runs)
+    std::uint32_t tenant = 0;  ///< owning tenant (0 in single-daemon runs)
     std::uint64_t page = 0;    ///< page id (0 for DaemonTick)
     std::uint64_t window = 0;  ///< policy daemon window (tick number)
     double pac = 0.0;          ///< PAC score at decision time

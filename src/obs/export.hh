@@ -34,19 +34,21 @@ namespace obs
  * pact.manifest/2 added per-result "ok" and structured "error" records
  * (failed sweep runs are first-class results) plus the "faults" and
  * "audit" config keys. pact.manifest/3 adds the per-result "tenants"
- * array (one object per tenant of a multi-tenant engine; empty for
- * legacy single-daemon runs). pact.manifest/4 adds the per-result
- * "distributions" object (log-linear histogram stats: sparse bin
- * counts plus derived count/sum/max/p50/p90/p99). pact.manifest/5
- * adds the per-result "txn" object (migration-transaction outcome
- * counts: committed/aborted/retried/exhausted/rejected-by-admission
- * plus wasted copy cycles) and the migration config's disabled/
- * txn_max_retries/txn_backoff_cycles keys. pact.timeseries/2
- * adds the header "distributions" list and per-row "dist" per-window
- * summaries. pact.events/1 is the decision-provenance journal JSONL
- * (header object, then one typed page-lifecycle event per line).
+ * array (one object per tenant of a multi-tenant engine).
+ * pact.manifest/4 adds the per-result "distributions" object
+ * (log-linear histogram stats: sparse bin counts plus derived
+ * count/sum/max/p50/p90/p99). pact.manifest/5 adds the per-result
+ * "txn" object (migration-transaction outcome counts: committed/
+ * aborted/retried/exhausted/rejected-by-admission plus wasted copy
+ * cycles) and the migration config's disabled/txn_max_retries/
+ * txn_backoff_cycles keys. pact.manifest/6 gives every ok result at
+ * least one "tenants" row: a single-daemon run is one tenant holding
+ * every trace. pact.timeseries/2 adds the header "distributions" list
+ * and per-row "dist" per-window summaries. pact.events/1 is the
+ * decision-provenance journal JSONL (header object, then one typed
+ * page-lifecycle event per line).
  */
-inline constexpr const char *ManifestSchema = "pact.manifest/5";
+inline constexpr const char *ManifestSchema = "pact.manifest/6";
 inline constexpr const char *TimeSeriesSchema = "pact.timeseries/2";
 inline constexpr const char *EventsSchema = "pact.events/1";
 
@@ -127,10 +129,11 @@ class JsonWriter
 /** One run's result as the manifest exporter consumes it. */
 struct ManifestResult
 {
-    /** Per-tenant summary row of a multi-tenant run. */
+    /** Per-tenant summary row. */
     struct Tenant
     {
         std::string name;
+        /** Mean slowdown over the tenant's non-looping processes. */
         double slowdownPct = 0.0;
         std::uint64_t retiredOps = 0;
         std::uint64_t cycles = 0;
@@ -142,7 +145,7 @@ struct ManifestResult
     std::string policy;
     double slowdownPct = 0.0;
     std::vector<double> procSlowdownPct;
-    /** One row per tenant; empty on the legacy single-daemon path. */
+    /** One row per tenant daemon (at least one on an ok result). */
     std::vector<Tenant> tenants;
     std::uint64_t runtimeCycles = 0;
     /** Full registry dump (name-sorted), the authoritative stats. */

@@ -20,19 +20,16 @@ envAudit()
     return s && *s && std::string(s) != "0";
 }
 
-/** Wrap every trace under one tenant: the pre-tenant engine shape. */
+/** One tenant holding every trace under @p policy. */
 std::vector<TenantSpec>
-legacySpecs(const std::vector<Trace> *traces, TieringPolicy *policy)
+oneTenant(const std::vector<Trace> *traces, TieringPolicy *policy)
 {
     throw_config_if(!traces || traces->empty(), "Engine: no traces");
     TenantSpec spec;
-    spec.traces.reserve(traces->size());
     for (const Trace &t : *traces)
         spec.traces.push_back(&t);
     spec.policy = policy;
-    std::vector<TenantSpec> out;
-    out.push_back(std::move(spec));
-    return out;
+    return {spec};
 }
 
 /**
@@ -63,21 +60,15 @@ numProcs(const std::vector<TenantSpec> &tenants)
 
 Engine::Engine(const SimConfig &cfg, const AddrSpace &as,
                const std::vector<Trace> *traces, TieringPolicy *policy)
-    : Engine(cfg, as, legacySpecs(traces, policy), true)
+    : Engine(cfg, as, oneTenant(traces, policy))
 {
 }
 
 Engine::Engine(const SimConfig &cfg, const AddrSpace &as,
                std::vector<TenantSpec> tenants)
-    : Engine(cfg, as, std::move(tenants), false)
-{
-}
-
-Engine::Engine(const SimConfig &cfg, const AddrSpace &as,
-               std::vector<TenantSpec> tenants, bool legacy)
     // Validate before any member is built so a bad config surfaces as
     // ConfigError instead of corrupting component construction.
-    : cfg_((cfg.validate(), cfg)), as_(as), legacy_(legacy),
+    : cfg_((cfg.validate(), cfg)), as_(as),
       rng_(cfg.seed ^ 0x5bd1e995u),
       fastTier_(TierId::Fast, cfg.fast),
       slowTier_(TierId::Slow, cfg.slow),
@@ -157,10 +148,10 @@ Engine::init()
     }
 
     registerStats();
-    if (legacy_) {
-        // Pre-tenant registry layout: the single policy's stats land
-        // unprefixed, and no tenant subtree exists. The golden corpus
-        // pins this layout bit-for-bit.
+    if (tenants_.size() == 1) {
+        // A lone tenant's subtree would only repeat the engine.* sums:
+        // its policy's stats land unprefixed instead. The golden
+        // corpus pins this layout bit-for-bit.
         if (tenants_[0]->spec.policy)
             tenants_[0]->spec.policy->registerStats(reg_);
     } else {
@@ -185,39 +176,17 @@ Engine::refreshWrappedPmu(TenantState &t)
         return;
     const std::uint64_t m = faults_->wrapMask();
     t.wrappedPmu = t.pmu;
-    t.wrappedPmu.instructions &= m;
-    t.wrappedPmu.llcHits &= m;
-    t.wrappedPmu.computeCycles &= m;
-    t.wrappedPmu.hintFaults &= m;
-    t.wrappedPmu.prefetches &= m;
-    for (unsigned i = 0; i < NumTiers; i++) {
-        t.wrappedPmu.llcLoadMisses[i] &= m;
-        t.wrappedPmu.llcMisses[i] &= m;
-        t.wrappedPmu.torOccupancy[i] &= m;
-        t.wrappedPmu.torBusy[i] &= m;
-        t.wrappedPmu.stallCycles[i] &= m;
-    }
+    forEachPmuCounter([&](PmuCounter c) { c.of(t.wrappedPmu) &= m; });
 }
 
 Pmu
 Engine::aggregatePmu() const
 {
     Pmu sum;
-    for (const auto &t : tenants_) {
-        const Pmu &p = t->pmu;
-        sum.instructions += p.instructions;
-        sum.llcHits += p.llcHits;
-        sum.computeCycles += p.computeCycles;
-        sum.hintFaults += p.hintFaults;
-        sum.prefetches += p.prefetches;
-        for (unsigned i = 0; i < NumTiers; i++) {
-            sum.llcLoadMisses[i] += p.llcLoadMisses[i];
-            sum.llcMisses[i] += p.llcMisses[i];
-            sum.torOccupancy[i] += p.torOccupancy[i];
-            sum.torBusy[i] += p.torBusy[i];
-            sum.stallCycles[i] += p.stallCycles[i];
-        }
-    }
+    forEachPmuCounter([&](PmuCounter c) {
+        for (const auto &t : tenants_)
+            c.of(sum) += c.of(t->pmu);
+    });
     return sum;
 }
 
@@ -228,26 +197,7 @@ Engine::registerStats()
 
     // Machine-wide counters. PMU and PEBS sums span all tenants; with
     // one tenant each sum is the tenant's own uint64 converted to
-    // double, so the legacy path's values are bit-identical to the
-    // pre-tenant addCounter registrations these replace.
-    auto pmuSum = [this](std::uint64_t Pmu::*field) {
-        return [this, field] {
-            double acc = 0.0;
-            for (const auto &t : tenants_)
-                acc += static_cast<double>(t->pmu.*field);
-            return acc;
-        };
-    };
-    auto pmuTierSum = [this](std::array<std::uint64_t, NumTiers> Pmu::*field,
-                             unsigned tier) {
-        return [this, field, tier] {
-            double acc = 0.0;
-            for (const auto &t : tenants_)
-                acc += static_cast<double>((t->pmu.*field)[tier]);
-            return acc;
-        };
-    };
-
+    // double, bit-identical to registering the counter itself.
     reg_.addCounter("engine.daemon.ticks", &daemonTicks_,
                     "policy daemon wakeups (all tenants)");
     reg_.addFn("engine.now", StatKind::Gauge,
@@ -286,33 +236,16 @@ Engine::registerStats()
                },
                "samples dropped on buffer overflow");
 
-    reg_.addFn("engine.pmu.instructions", StatKind::Counter,
-               pmuSum(&Pmu::instructions), "retired trace ops");
-    reg_.addFn("engine.pmu.llc_hits", StatKind::Counter,
-               pmuSum(&Pmu::llcHits), "LLC hits");
-    reg_.addFn("engine.pmu.compute_cycles", StatKind::Counter,
-               pmuSum(&Pmu::computeCycles), "compute (gap) cycles");
-    reg_.addFn("engine.pmu.hint_faults", StatKind::Counter,
-               pmuSum(&Pmu::hintFaults), "NUMA hint faults");
-    reg_.addFn("engine.pmu.prefetches", StatKind::Counter,
-               pmuSum(&Pmu::prefetches), "prefetch lines issued");
-    const char *tierName[NumTiers] = {"fast", "slow"};
-    for (unsigned t = 0; t < NumTiers; t++) {
-        const std::string p = std::string("engine.pmu.") + tierName[t];
-        reg_.addFn(p + ".llc_misses", StatKind::Counter,
-                   pmuTierSum(&Pmu::llcMisses, t), "demand LLC misses");
-        reg_.addFn(p + ".llc_load_misses", StatKind::Counter,
-                   pmuTierSum(&Pmu::llcLoadMisses, t),
-                   "demand-load LLC misses");
-        reg_.addFn(p + ".tor_occupancy", StatKind::Counter,
-                   pmuTierSum(&Pmu::torOccupancy, t),
-                   "TOR occupancy integral (T1)");
-        reg_.addFn(p + ".tor_busy", StatKind::Counter,
-                   pmuTierSum(&Pmu::torBusy, t), "TOR busy cycles (T2)");
-        reg_.addFn(p + ".stall_cycles", StatKind::Counter,
-                   pmuTierSum(&Pmu::stallCycles, t),
-                   "ground-truth stall cycles");
-    }
+    forEachPmuCounter([&](PmuCounter c) {
+        reg_.addFn("engine.pmu." + c.name(), StatKind::Counter,
+                   [this, c] {
+                       double acc = 0.0;
+                       for (const auto &t : tenants_)
+                           acc += static_cast<double>(c.of(t->pmu));
+                       return acc;
+                   },
+                   c.field->desc);
+    });
 
     const MigrationStats &ms = mig_.stats();
     reg_.addCounter("engine.migration.promoted_ops", &ms.promotedOps,
@@ -360,6 +293,7 @@ Engine::registerStats()
     reg_.addCounter("engine.migration.txn.backoff_cycles",
                     &ts.backoffCycles, "daemon-side retry backoff");
 
+    const char *tierName[NumTiers] = {"fast", "slow"};
     Tier *tiers[NumTiers] = {&fastTier_, &slowTier_};
     for (unsigned t = 0; t < NumTiers; t++) {
         const std::string p = std::string("engine.tier.") + tierName[t];
@@ -450,29 +384,9 @@ Engine::registerTenantStats(std::size_t i)
                [&t] { return static_cast<double>(t.pebs.dropped()); },
                "samples dropped on buffer overflow");
 
-    reg_.addCounter("pmu.instructions", &t.pmu.instructions,
-                    "retired trace ops");
-    reg_.addCounter("pmu.llc_hits", &t.pmu.llcHits, "LLC hits");
-    reg_.addCounter("pmu.compute_cycles", &t.pmu.computeCycles,
-                    "compute (gap) cycles");
-    reg_.addCounter("pmu.hint_faults", &t.pmu.hintFaults,
-                    "NUMA hint faults");
-    reg_.addCounter("pmu.prefetches", &t.pmu.prefetches,
-                    "prefetch lines issued");
-    const char *tierName[NumTiers] = {"fast", "slow"};
-    for (unsigned k = 0; k < NumTiers; k++) {
-        const std::string p = std::string("pmu.") + tierName[k];
-        reg_.addCounter(p + ".llc_misses", &t.pmu.llcMisses[k],
-                        "demand LLC misses");
-        reg_.addCounter(p + ".llc_load_misses", &t.pmu.llcLoadMisses[k],
-                        "demand-load LLC misses");
-        reg_.addCounter(p + ".tor_occupancy", &t.pmu.torOccupancy[k],
-                        "TOR occupancy integral (T1)");
-        reg_.addCounter(p + ".tor_busy", &t.pmu.torBusy[k],
-                        "TOR busy cycles (T2)");
-        reg_.addCounter(p + ".stall_cycles", &t.pmu.stallCycles[k],
-                        "ground-truth stall cycles");
-    }
+    forEachPmuCounter([&](PmuCounter c) {
+        reg_.addCounter("pmu." + c.name(), &c.of(t.pmu), c.field->desc);
+    });
 
     // The tenant's policy registers its own stats under the same
     // subtree, so N instances of one policy class coexist without
@@ -487,20 +401,12 @@ Engine::setTraceSink(obs::TraceEventSink *sink)
     traceSink_ = sink;
     if (!traceSink_)
         return;
-    if (legacy_) {
-        // Historical lane layout, kept exactly so old traces diff.
-        traceSink_->threadName(0, "policy daemon");
-        traceSink_->threadName(1, "migration copies");
-    } else {
-        // One daemon + one migration lane per tenant, so N tenants
-        // render as N parallel row pairs instead of one shared row.
-        for (std::size_t i = 0; i < tenants_.size(); i++) {
-            const std::string &n = tenants_[i]->spec.name;
-            traceSink_->threadName(static_cast<std::uint32_t>(2 * i),
-                                   n + " daemon");
-            traceSink_->threadName(static_cast<std::uint32_t>(2 * i + 1),
-                                   n + " migration");
-        }
+    // One daemon + one migration lane per tenant, so N tenants
+    // render as N parallel row pairs instead of one shared row.
+    for (std::uint32_t i = 0; i < tenants_.size(); i++) {
+        const std::string &n = tenants_[i]->spec.name;
+        traceSink_->threadName(2 * i, n + " daemon");
+        traceSink_->threadName(migrationLane(i), n + " migration");
     }
 }
 
@@ -640,8 +546,7 @@ Engine::runUntil(Cycles until)
                     traceSink_->completeEvent(
                         "daemon.tick", "daemon", ts,
                         obs::cyclesToUs(tickCopy),
-                        legacy_ ? 0u
-                                : static_cast<std::uint32_t>(2 * ti),
+                        2 * currentTenant_,
                         {{"tick", static_cast<double>(daemonTicks_)},
                          {"promoted_ops",
                           static_cast<double>(after.promotedOps -
@@ -812,26 +717,23 @@ Engine::snapshot() const
     });
     rs.pebsEvents = u64("engine.pebs.events");
     rs.pebsDropped = u64("engine.pebs.dropped");
-    rs.cacheHits = u64("engine.cache.hits");
     rs.cacheMisses = u64("engine.cache.misses");
     rs.daemonTicks = u64("engine.daemon.ticks");
 
-    if (!legacy_) {
-        rs.tenants.reserve(tenants_.size());
-        for (const auto &t : tenants_) {
-            RunStats::Tenant ts;
-            ts.name = t->spec.name;
-            ts.procs = t->cpus;
-            for (std::size_t c : t->cpus) {
-                ts.retired += cpus_[c]->retired();
-                ts.cycles = std::max(
-                    ts.cycles, cpus_[c]->done() ? cpus_[c]->finishCycle()
+    rs.tenants.reserve(tenants_.size());
+    for (const auto &t : tenants_) {
+        RunStats::Tenant ts;
+        ts.name = t->spec.name;
+        ts.procs = t->cpus;
+        for (std::size_t c : t->cpus) {
+            ts.retired += cpus_[c]->retired();
+            ts.cycles = std::max(ts.cycles, cpus_[c]->done()
+                                                ? cpus_[c]->finishCycle()
                                                 : cpus_[c]->cycle());
-            }
-            ts.pebsEvents = t->pebs.events();
-            ts.daemonTicks = t->ticks;
-            rs.tenants.push_back(std::move(ts));
         }
+        ts.pebsEvents = t->pebs.events();
+        ts.daemonTicks = t->ticks;
+        rs.tenants.push_back(std::move(ts));
     }
     return rs;
 }

@@ -66,9 +66,7 @@ struct TenantSpec
  */
 struct RunStats
 {
-    /** Per-tenant summary (one entry per TenantSpec; tenant-aware
-     *  engines only — legacy single-policy engines leave it empty so
-     *  existing artifacts keep their exact shape). */
+    /** Per-tenant summary (one entry per TenantSpec). */
     struct Tenant
     {
         std::string name;
@@ -106,7 +104,6 @@ struct RunStats
     MigrationTxnStats txn;
     std::uint64_t pebsEvents = 0;
     std::uint64_t pebsDropped = 0;
-    std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
     std::uint64_t daemonTicks = 0;
     /** Per-process (spanClass, cycles) latency measurements. */
@@ -117,7 +114,7 @@ struct RunStats
     /** Distribution snapshots, name-sorted (separate from `registry`
      *  so the scalar dump keeps its pinned golden layout). */
     std::vector<std::pair<std::string, obs::DistSnapshot>> dists;
-    /** Per-tenant summaries (empty on the legacy single-policy path). */
+    /** Per-tenant summaries, one per TenantSpec (never empty). */
     std::vector<Tenant> tenants;
 
     /** Registry value by name; 0 when absent (old artifacts). */
@@ -145,11 +142,8 @@ class Engine : public MigrationBackend
 {
   public:
     /**
-     * Legacy single-daemon constructor: every trace runs under one
-     * shared policy, PEBS sampler, and PMU — the pre-tenant layout.
-     * Stats register unprefixed (no tenant subtree), so registry
-     * dumps and manifests from this path are byte-compatible with
-     * earlier releases (the golden corpus pins this layout).
+     * Single-daemon constructor: one tenant that holds every trace,
+     * so all of them share one policy, PEBS sampler, and PMU.
      *
      * @param cfg Simulation configuration (fast capacity, tiers, ...).
      *            Validated via SimConfig::validate() before anything
@@ -165,11 +159,14 @@ class Engine : public MigrationBackend
            const std::vector<Trace> *traces, TieringPolicy *policy);
 
     /**
-     * Multi-tenant constructor: each TenantSpec's traces run on their
-     * own cores against the shared LLC/tiers/TierManager, with a
-     * private PEBS sampler and PMU per tenant and one policy daemon
-     * per tenant. Per-tenant stats register under "tenant<i>." (or the
-     * spec's name), including the policy's own stats.
+     * Tenant constructor: each TenantSpec's traces run on their own
+     * cores against the shared LLC/tiers/TierManager, with a private
+     * PEBS sampler and PMU per tenant and one policy daemon per
+     * tenant. With several tenants, per-tenant stats (the policy's
+     * own included) register under "tenant<i>." or the spec's name.
+     * A lone tenant registers no subtree, which would only repeat the
+     * engine.* sums: its policy's stats land unprefixed (the layout
+     * the golden corpus pins).
      */
     Engine(const SimConfig &cfg, const AddrSpace &as,
            std::vector<TenantSpec> tenants);
@@ -192,14 +189,12 @@ class Engine : public MigrationBackend
     /** Global slice clock. */
     Cycles now() const { return now_; }
 
-    /** Tenant 0's daemon context (the only tenant on the legacy path). */
+    /** Tenant 0's daemon context. */
     SimContext &context() { return *tenants_[0]->ctx; }
     TierManager &tierManager() { return tm_; }
     MigrationEngine &migration() { return mig_; }
-    /** Tenant 0's PMU (the whole machine on the legacy path). */
+    /** Tenant 0's PMU (the whole machine with one tenant). */
     Pmu &pmu() { return tenants_[0]->pmu; }
-    /** Machine-wide counters: field-wise sum over all tenants. */
-    Pmu aggregatePmu() const;
 
     /**
      * Record the outcome of every LLC access of this run (DESIGN.md
@@ -224,9 +219,6 @@ class Engine : public MigrationBackend
      */
     bool replayLlcOutcomes(std::shared_ptr<const LlcOutcomes> stream);
 
-    /** Number of tenants (1 on the legacy path). */
-    std::size_t numTenants() const { return tenants_.size(); }
-
     /** Live fault plan, or nullptr when no faults are enabled. */
     FaultPlan *faults() { return faults_.get(); }
 
@@ -236,11 +228,10 @@ class Engine : public MigrationBackend
     /**
      * Attach a Chrome-trace sink: migration copies and daemon ticks
      * are recorded as trace_event spans. Call before the first
-     * runUntil(); the sink must outlive the engine. Legacy engines
-     * keep the historical two lanes (tid 0 = daemon, 1 = migration);
-     * tenant engines give every tenant its own pair of lanes
-     * (tid 2i = "<name> daemon", 2i+1 = "<name> migration") so
-     * multi-tenant traces don't interleave onto one row.
+     * runUntil(); the sink must outlive the engine. Every tenant gets
+     * its own pair of lanes (tid 2i = "<name> daemon", 2i+1 =
+     * "<name> migration") so multi-tenant traces don't interleave
+     * onto one row.
      */
     void setTraceSink(obs::TraceEventSink *sink);
 
@@ -253,12 +244,11 @@ class Engine : public MigrationBackend
      */
     void setEventJournal(obs::EventJournal *journal);
 
-    /** Trace-lane tid of a tenant's migration events (satellite of
-     *  the per-tenant lane scheme; legacy engines use lane 1). */
-    std::uint32_t
-    migrationLane(std::uint32_t tenant) const
+    /** Trace-lane tid of a tenant's migration events. */
+    static std::uint32_t
+    migrationLane(std::uint32_t tenant)
     {
-        return legacy_ ? 1u : 2u * tenant + 1u;
+        return 2u * tenant + 1u;
     }
 
   private:
@@ -282,15 +272,13 @@ class Engine : public MigrationBackend
         {}
     };
 
-    /** Shared implementation both public constructors delegate to. */
-    Engine(const SimConfig &cfg, const AddrSpace &as,
-           std::vector<TenantSpec> tenants, bool legacy);
-
     void init();
     bool allPrimariesDone() const;
     void registerStats();
     void registerTenantStats(std::size_t i);
     void finishRun();
+    /** Machine-wide counters: field-wise sum over all tenants. */
+    Pmu aggregatePmu() const;
     /** The LLC stream identity of this run; ops null when the run
      *  cannot record or replay (several cores, or a looping trace). */
     LlcOutcomes::Source llcSource() const;
@@ -306,8 +294,6 @@ class Engine : public MigrationBackend
 
     const SimConfig cfg_;
     const AddrSpace &as_;
-    /** Whether stats follow the pre-tenant unprefixed layout. */
-    const bool legacy_;
 
     Rng rng_;
     Tier fastTier_;

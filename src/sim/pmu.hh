@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "common/types.hh"
 
@@ -61,6 +62,67 @@ struct Pmu
                                static_cast<double>(d_t2);
     }
 };
+
+/** One row of the Pmu field table: a scalar or a per-tier array. */
+struct PmuField
+{
+    /** Registry leaf name (per-tier fields: "<tier>.<name>"). */
+    const char *name;
+    const char *desc;
+    std::uint64_t Pmu::*scalar;
+    std::array<std::uint64_t, NumTiers> Pmu::*perTier;
+};
+
+/** Every Pmu field, once: the list each whole-PMU operation walks. */
+inline constexpr PmuField PmuFields[] = {
+    {"instructions", "retired trace ops", &Pmu::instructions, nullptr},
+    {"llc_hits", "LLC hits", &Pmu::llcHits, nullptr},
+    {"compute_cycles", "compute (gap) cycles", &Pmu::computeCycles,
+     nullptr},
+    {"hint_faults", "NUMA hint faults", &Pmu::hintFaults, nullptr},
+    {"prefetches", "prefetch lines issued", &Pmu::prefetches, nullptr},
+    {"llc_misses", "demand LLC misses", nullptr, &Pmu::llcMisses},
+    {"llc_load_misses", "demand-load LLC misses", nullptr,
+     &Pmu::llcLoadMisses},
+    {"tor_occupancy", "TOR occupancy integral (T1)", nullptr,
+     &Pmu::torOccupancy},
+    {"tor_busy", "TOR busy cycles (T2)", nullptr, &Pmu::torBusy},
+    {"stall_cycles", "ground-truth stall cycles", nullptr,
+     &Pmu::stallCycles},
+};
+
+/** One counter of a Pmu: a scalar field, or one tier's slot of one. */
+struct PmuCounter
+{
+    const PmuField *field;
+    unsigned tier;
+
+    /** Registry leaf name: "<name>", or "fast.<name>" / "slow.<name>". */
+    std::string
+    name() const
+    {
+        static const char *const tierName[NumTiers] = {"fast", "slow"};
+        return field->scalar ? std::string(field->name)
+                             : std::string(tierName[tier]) + "." +
+                                   field->name;
+    }
+    std::uint64_t &
+    of(Pmu &p) const
+    {
+        return field->scalar ? p.*field->scalar : (p.*field->perTier)[tier];
+    }
+};
+
+/** Call @p fn(PmuCounter) for every counter of a Pmu. */
+template <class Fn>
+void
+forEachPmuCounter(Fn &&fn)
+{
+    for (const PmuField &f : PmuFields) {
+        for (unsigned t = 0; t < (f.scalar ? 1u : NumTiers); t++)
+            fn(PmuCounter{&f, t});
+    }
+}
 
 /** A snapshot of the PMU for delta computation. */
 struct PmuSnapshot

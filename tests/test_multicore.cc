@@ -1,8 +1,9 @@
 /**
  * @file
- * Multi-tenant engine tests: the tenant path reproduces the golden
- * single-policy corpus bit-for-bit for one tenant, N-tenant runs are
- * byte-deterministic across PACT_JOBS settings and repeats, and the
+ * Multi-tenant engine tests: a one-tenant colocation is the
+ * single-daemon run and reproduces the golden corpus bit-for-bit,
+ * N-tenant runs are byte-deterministic across PACT_JOBS settings and
+ * repeats, and the
  * shared per-tier token buckets cap aggregate bandwidth no matter how
  * many tenants contend on them. Also pins the start()-time migration
  * journal attribution: a tenant's start-phase migrations must be
@@ -119,16 +120,17 @@ twoTenantRun(const char *jobs)
 } // namespace
 
 /**
- * (a) A 1-tenant engine is the legacy engine plus stat prefixing:
- * every golden-corpus value must reappear bit-identically, either
- * under its original name (machine-wide engine/faults stats) or
- * under the tenant0. subtree (the policy's own stats).
+ * (a) A one-tenant colocation is the single-daemon run: on silo,
+ * runTenants and run give equal registries, name for name, and equal
+ * tenant rows, and every golden-corpus value reappears bit-identically
+ * under its own, unprefixed name.
  */
 TEST(Multicore, OneTenantReproducesGoldenCorners)
 {
     WorkloadOptions opt;
     opt.scale = 0.1;
     const auto bundle = makeWorkloadShared("silo", opt);
+    ASSERT_EQ(bundle->traces.size(), 1u);
 
     for (const GoldenCase &c : kCases) {
         SCOPED_TRACE(c.id);
@@ -138,21 +140,36 @@ TEST(Multicore, OneTenantReproducesGoldenCorners)
         cfg.cpu.robOps = c.robOps;
         cfg.faults = c.faults;
         Runner runner(cfg);
-        const RunResult r =
-            runner.runTenants(*bundle, c.policy, Runner::ratioShare(1, 2));
+        const double share = Runner::ratioShare(1, 2);
+        const RunResult r = runner.runTenants(*bundle, c.policy, share);
+        const RunResult single = runner.run(*bundle, c.policy, share);
+
+        const auto &reg = r.stats.registry;
+        const auto &singleReg = single.stats.registry;
+        ASSERT_EQ(reg.size(), singleReg.size());
+        for (std::size_t i = 0; i < reg.size(); i++) {
+            ASSERT_EQ(reg[i].first, singleReg[i].first);
+            EXPECT_EQ(reg[i].second, singleReg[i].second) << reg[i].first;
+        }
 
         ASSERT_EQ(r.tenants.size(), 1u);
-        EXPECT_EQ(r.tenants[0].name, "tenant0");
+        ASSERT_EQ(single.tenants.size(), 1u);
+        const RunResult::Tenant &t = r.tenants[0];
+        const RunResult::Tenant &st = single.tenants[0];
+        EXPECT_EQ(t.name, "tenant0");
+        EXPECT_EQ(t.name, st.name);
+        EXPECT_EQ(t.slowdownPct, st.slowdownPct);
+        EXPECT_EQ(t.retiredOps, st.retiredOps);
+        EXPECT_EQ(t.cycles, st.cycles);
+        EXPECT_EQ(t.daemonTicks, st.daemonTicks);
+        EXPECT_EQ(t.pebsEvents, st.pebsEvents);
 
-        std::map<std::string, double> dump(r.stats.registry.begin(),
-                                           r.stats.registry.end());
+        std::map<std::string, double> dump(reg.begin(), reg.end());
         std::size_t checked = 0;
         for (const GoldenStat &g : kGolden) {
             if (std::string(g.caseId) != c.id)
                 continue;
             auto it = dump.find(g.name);
-            if (it == dump.end())
-                it = dump.find("tenant0." + std::string(g.name));
             ASSERT_NE(it, dump.end())
                 << g.name << " missing from the tenant-path registry";
             EXPECT_EQ(it->second, g.value)
@@ -184,7 +201,7 @@ TEST(Multicore, TwoTenantManifestBytesAreJobInvariant)
     const std::string wide = manifestBytes(cfg, twoTenantRun("4"));
     const std::string again = manifestBytes(cfg, twoTenantRun("4"));
 
-    EXPECT_NE(serial.find("\"schema\":\"pact.manifest/5\""),
+    EXPECT_NE(serial.find("\"schema\":\"pact.manifest/6\""),
               std::string::npos);
     EXPECT_NE(serial.find("\"tenants\":["), std::string::npos);
     EXPECT_NE(serial.find("\"tenant0\""), std::string::npos);
@@ -269,7 +286,7 @@ TEST(Multicore, SharedTierBucketCapsAggregateBandwidth)
 
     ASSERT_EQ(r.tenants.size(), 4u);
     for (const RunResult::Tenant &t : r.tenants) {
-        EXPECT_GT(t.retired, 0u) << t.name;
+        EXPECT_GT(t.retiredOps, 0u) << t.name;
         EXPECT_GT(t.daemonTicks, 0u) << t.name;
     }
 
@@ -311,7 +328,7 @@ TEST(Multicore, TenantRowsSumToMachineRetired)
     std::uint64_t retired = 0;
     std::uint64_t ticks = 0;
     for (const RunResult::Tenant &t : r.tenants) {
-        retired += t.retired;
+        retired += t.retiredOps;
         ticks += t.daemonTicks;
     }
     std::uint64_t procSum = 0;
