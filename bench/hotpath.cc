@@ -29,14 +29,28 @@ using namespace pact;
 namespace
 {
 
+/** How a run maps the bundle's traces onto policy daemons. */
+enum class Tenancy
+{
+    /** One daemon over every trace (the single-daemon engine). */
+    Shared,
+    /**
+     * Every trace is a tenant with its own core, PEBS sampler and
+     * policy daemon on the shared LLC/tiers: the per-op cost of the
+     * tenant dispatch loop.
+     */
+    PerTrace,
+};
+
 /**
  * One full Engine::run of @p workload under @p policy_name with the
  * fast tier sized to half the footprint (the paper's 1:1 ratio).
  * Reported items are retired trace ops summed over all processes.
+ * A nonzero @p period overrides the daemon period.
  */
 void
 engineRun(benchmark::State &state, const char *workload,
-          const char *policy_name)
+          const char *policy_name, Tenancy tenancy, std::uint64_t period)
 {
     setLogQuiet(true);
     WorkloadOptions opt;
@@ -46,46 +60,19 @@ engineRun(benchmark::State &state, const char *workload,
     SimConfig cfg;
     cfg.fastCapacityPages = static_cast<std::uint64_t>(
         static_cast<double>(bundle->rssPages()) * 0.5 + 0.5);
-
-    std::uint64_t ops = 0;
-    for (auto _ : state) {
-        auto policy = makePolicy(policy_name);
-        Engine engine(cfg, bundle->as, &bundle->traces, policy.get());
-        const RunStats rs = engine.run();
-        for (const std::uint64_t r : rs.procRetired)
-            ops += r;
-        benchmark::DoNotOptimize(rs.wallCycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-    state.counters["scale"] = opt.scale;
-}
-
-/**
- * Multi-tenant hot path: every trace of @p workload becomes a tenant
- * with its own core, PEBS sampler, and policy daemon on the shared
- * LLC/tiers — the per-op cost of the tenant dispatch loop relative to
- * the single-daemon engineRun above.
- */
-void
-engineTenants(benchmark::State &state, const char *workload,
-              const char *policy_name)
-{
-    setLogQuiet(true);
-    WorkloadOptions opt;
-    opt.scale = envScale(0.5);
-    const auto bundle = makeWorkloadShared(workload, opt);
-
-    SimConfig cfg;
-    cfg.fastCapacityPages = static_cast<std::uint64_t>(
-        static_cast<double>(bundle->rssPages()) * 0.5 + 0.5);
+    if (period)
+        cfg.daemonPeriod = period;
 
     std::uint64_t ops = 0;
     for (auto _ : state) {
         std::vector<std::unique_ptr<TieringPolicy>> policies;
         std::vector<TenantSpec> specs;
         for (const Trace &t : bundle->traces) {
-            policies.push_back(makePolicy(policy_name));
-            specs.push_back({"", {&t}, policies.back().get()});
+            if (specs.empty() || tenancy == Tenancy::PerTrace) {
+                policies.push_back(makePolicy(policy_name));
+                specs.push_back({"", {}, policies.back().get()});
+            }
+            specs.back().traces.push_back(&t);
         }
         Engine engine(cfg, bundle->as, std::move(specs));
         const RunStats rs = engine.run();
@@ -95,48 +82,8 @@ engineTenants(benchmark::State &state, const char *workload,
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
     state.counters["scale"] = opt.scale;
-}
-
-/**
- * Daemon-window cost family: the 16-tenant colocation with the daemon
- * period swept down from the default, so control-plane work (PAC
- * attribution, candidate selection, migration bookkeeping — the
- * per-window costs the allocation-free control plane targets) takes a
- * growing share of wall time. Sixteen tenants multiply every window
- * by sixteen daemon ticks, making this the policy-overhead-dominated
- * row of the tracked set.
- */
-void
-engineDaemon(benchmark::State &state, const char *workload,
-             const char *policy_name, std::uint64_t period)
-{
-    setLogQuiet(true);
-    WorkloadOptions opt;
-    opt.scale = envScale(0.5);
-    const auto bundle = makeWorkloadShared(workload, opt);
-
-    SimConfig cfg;
-    cfg.fastCapacityPages = static_cast<std::uint64_t>(
-        static_cast<double>(bundle->rssPages()) * 0.5 + 0.5);
-    cfg.daemonPeriod = period;
-
-    std::uint64_t ops = 0;
-    for (auto _ : state) {
-        std::vector<std::unique_ptr<TieringPolicy>> policies;
-        std::vector<TenantSpec> specs;
-        for (const Trace &t : bundle->traces) {
-            policies.push_back(makePolicy(policy_name));
-            specs.push_back({"", {&t}, policies.back().get()});
-        }
-        Engine engine(cfg, bundle->as, std::move(specs));
-        const RunStats rs = engine.run();
-        for (const std::uint64_t r : rs.procRetired)
-            ops += r;
-        benchmark::DoNotOptimize(rs.wallCycles);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-    state.counters["scale"] = opt.scale;
-    state.counters["period"] = static_cast<double>(period);
+    if (period)
+        state.counters["period"] = static_cast<double>(period);
 }
 
 /**
@@ -172,49 +119,66 @@ runnerSweep(benchmark::State &state, const char *workload)
     state.counters["scale"] = opt.scale;
 }
 
-} // namespace
+/**
+ * Register one engineRun row under @p name (the row names predate the
+ * shared body and key the BENCH_hotpath.json trajectory).
+ */
+void
+engineRow(const char *name, const char *workload, const char *policy_name,
+          Tenancy tenancy, std::uint64_t period = 0)
+{
+    benchmark::RegisterBenchmark(name, engineRun, workload, policy_name,
+                                 tenancy, period)
+        ->Unit(benchmark::kMillisecond);
+}
 
-// The tracked set: a pointer-chase/random workload (MSHR- and
-// TOR-accounting-heavy), a graph kernel (the figure sweeps' staple),
-// a no-daemon run isolating the bare per-op simulation loop, and a
-// 4-tenant colocation exercising the multi-daemon dispatch.
-BENCHMARK_CAPTURE(engineRun, gups_PACT, "gups", "PACT")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineRun, gups_NoTier, "gups", "NoTier")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineRun, bckron_PACT, "bc-kron", "PACT")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineRun, silo_Memtis, "silo", "Memtis")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineTenants, coloc4_PACT, "masim-coloc4", "PACT")
-    ->Unit(benchmark::kMillisecond);
-// The graph-sweep unit through Runner::run: LLC outcome replay.
-BENCHMARK_CAPTURE(runnerSweep, bckron, "bc-kron")
-    ->Unit(benchmark::kMillisecond);
-// The named two-process colocation on the same path (the serial
-// baseline of the DESIGN.md §7c measurements).
-BENCHMARK_CAPTURE(engineTenants, coloc2_PACT, "masim-coloc", "PACT")
-    ->Unit(benchmark::kMillisecond);
-// Daemon-window cost family: 16 tenants, period swept 1M -> 100k
-// cycles (10x more daemon windows at the short end). items_per_second
-// here prices the control plane itself; the pr10-daemon Release entry
-// in BENCH_hotpath.json tracks its geomean.
-BENCHMARK_CAPTURE(engineDaemon, coloc16_PACT_p1000k, "masim-coloc16",
-                  "PACT", 1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineDaemon, coloc16_PACT_p500k, "masim-coloc16",
-                  "PACT", 500000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineDaemon, coloc16_PACT_p200k, "masim-coloc16",
-                  "PACT", 200000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineDaemon, coloc16_PACT_p100k, "masim-coloc16",
-                  "PACT", 100000)->Unit(benchmark::kMillisecond);
-// Short-window rows from healthy runs: the PACT p100k/p200k rows above
-// time runs that livelock into the wall-cycle cap, so they price the
-// migration storm. TPP and Colloid complete at 200k, and their ticks
-// are dominated by NUMA-hint arming (TierManager::armHints).
-BENCHMARK_CAPTURE(engineDaemon, coloc16_TPP_p200k, "masim-coloc16", "TPP",
-                  200000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(engineDaemon, coloc16_Colloid_p200k, "masim-coloc16",
-                  "Colloid", 200000)->Unit(benchmark::kMillisecond);
+void
+registerRows()
+{
+    // The tracked set: a pointer-chase/random workload (MSHR- and
+    // TOR-accounting-heavy), a graph kernel (the figure sweeps'
+    // staple), a no-daemon run isolating the bare per-op simulation
+    // loop, and a 4-tenant colocation exercising the multi-daemon
+    // dispatch.
+    engineRow("engineRun/gups_PACT", "gups", "PACT", Tenancy::Shared);
+    engineRow("engineRun/gups_NoTier", "gups", "NoTier", Tenancy::Shared);
+    engineRow("engineRun/bckron_PACT", "bc-kron", "PACT", Tenancy::Shared);
+    engineRow("engineRun/silo_Memtis", "silo", "Memtis", Tenancy::Shared);
+    engineRow("engineTenants/coloc4_PACT", "masim-coloc4", "PACT",
+              Tenancy::PerTrace);
+    // The graph-sweep unit through Runner::run: LLC outcome replay.
+    benchmark::RegisterBenchmark("runnerSweep/bckron", runnerSweep,
+                                 "bc-kron")
+        ->Unit(benchmark::kMillisecond);
+    // The named two-process colocation on the same path (the serial
+    // baseline of the DESIGN.md §7c measurements).
+    engineRow("engineTenants/coloc2_PACT", "masim-coloc", "PACT",
+              Tenancy::PerTrace);
+    // Daemon-window cost family: 16 tenants, period swept 1M -> 100k
+    // cycles (10x more daemon windows at the short end), so control-
+    // plane work (PAC attribution, candidate selection, migration
+    // bookkeeping) takes a growing share of wall time. items_per_second
+    // here prices the control plane itself.
+    engineRow("engineDaemon/coloc16_PACT_p1000k", "masim-coloc16", "PACT",
+              Tenancy::PerTrace, 1000000);
+    engineRow("engineDaemon/coloc16_PACT_p500k", "masim-coloc16", "PACT",
+              Tenancy::PerTrace, 500000);
+    engineRow("engineDaemon/coloc16_PACT_p200k", "masim-coloc16", "PACT",
+              Tenancy::PerTrace, 200000);
+    engineRow("engineDaemon/coloc16_PACT_p100k", "masim-coloc16", "PACT",
+              Tenancy::PerTrace, 100000);
+    // Short-window rows from healthy runs: the PACT p100k/p200k rows
+    // above time runs that livelock into the wall-cycle cap, so they
+    // price the migration storm. TPP and Colloid complete at 200k, and
+    // their ticks are dominated by NUMA-hint arming
+    // (TierManager::armHints).
+    engineRow("engineDaemon/coloc16_TPP_p200k", "masim-coloc16", "TPP",
+              Tenancy::PerTrace, 200000);
+    engineRow("engineDaemon/coloc16_Colloid_p200k", "masim-coloc16",
+              "Colloid", Tenancy::PerTrace, 200000);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -232,6 +196,7 @@ main(int argc, char **argv)
 #else
     benchmark::AddCustomContext("pact_build_type", "debug");
 #endif
+    registerRows();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

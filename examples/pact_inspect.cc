@@ -13,11 +13,11 @@
  *   pact_inspect --explain <page> events.jsonl (flag spelling)
  *
  * "explain" reconstructs the full decision chain for one page from a
- * pact.events/1 journal: every PEBS sample, the bin the policy put it
+ * pact.events/2 journal: every PEBS sample, the bin the policy put it
  * in (with the PAC score and MLP that drove the choice), the enqueue,
- * and the migration outcome — including the transaction lifecycle
- * (txn_prepare/txn_abort with its reason and attempt, txn_retry, and
- * the eventual txn_commit) under fault injection.
+ * and the migration outcome as its transaction lifecycle (txn_prepare,
+ * txn_abort with its reason and attempt, txn_retry, and the eventual
+ * txn_commit with the charged latency).
  */
 
 #include <algorithm>

@@ -24,10 +24,11 @@ flags, then checks:
 A decision-provenance mode rides along:
 
   * --events-only drives a fault-injected multi-tenant run with
-    --events and checks the pact.events/1 journal (schema, seq/cycle
-    monotonicity, per-kind payload keys, PACT_JOBS byte-identity);
-    with --inspect it then drives the pact_inspect reader, including
-    --explain on a promoted page's full provenance chain.
+    --events and --trace-out and checks the pact.events/2 journal
+    (schema, seq/cycle monotonicity, per-kind payload keys, PACT_JOBS
+    byte-identity) and that the trace's per-page migration slices
+    balance; with --inspect it then drives the pact_inspect reader,
+    including --explain on a promoted page's full provenance chain.
 
 A multi-tenant mode rides along:
 
@@ -58,13 +59,12 @@ import tempfile
 
 MANIFEST_SCHEMA = "pact.manifest/6"
 TIMESERIES_SCHEMA = "pact.timeseries/2"
-EVENTS_SCHEMA = "pact.events/1"
+EVENTS_SCHEMA = "pact.events/2"
 BENCH_PERF_SCHEMA = "pact.bench_perf/1"
 # Fixed log-linear histogram layout (obs::Distribution).
 DIST_NUM_BINS = 1 + (63 - (-32) + 1) * 4
 EVENT_KINDS = {
     "pebs_sample", "bin_assign", "promote_enqueue", "demote_enqueue",
-    "migration_start", "migration_complete", "migration_abort",
     "daemon_tick", "txn_prepare", "txn_retry", "txn_commit",
     "txn_abort", "txn_admit_reject",
 }
@@ -595,11 +595,12 @@ def validate_tenants_e2e(cli, tmp, scale):
 
 
 def run_events_cli(cli, outdir, jobs, tenants, scale, faults):
-    """One fault-injected multi-tenant run with --events; returns
-    (manifest path, events path)."""
+    """One fault-injected multi-tenant run with --events and
+    --trace-out; returns (manifest path, events path, trace path)."""
     outdir = pathlib.Path(outdir)
     manifest = outdir / f"events{tenants}.j{jobs}.json"
     events = outdir / f"events{tenants}.j{jobs}.jsonl"
+    trace = outdir / f"events{tenants}.j{jobs}.trace.json"
     env = dict(os.environ, PACT_JOBS=str(jobs))
     cmd = [
         cli,
@@ -609,6 +610,7 @@ def run_events_cli(cli, outdir, jobs, tenants, scale, faults):
         "--scale", str(scale),
         "--faults", faults,
         "--events", str(events),
+        "--trace-out", str(trace),
         "--out-json", str(manifest),
     ]
     print(f"+ PACT_JOBS={jobs} {' '.join(cmd)}")
@@ -616,29 +618,27 @@ def run_events_cli(cli, outdir, jobs, tenants, scale, faults):
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         sys.exit(f"pactsim_cli failed with exit code {proc.returncode}")
-    return manifest, events
+    return manifest, events, trace
 
 
-# Journal payload keys required per event kind (pact.events/1).
+# Journal payload keys required per event kind (pact.events/2).
 EVENT_PAYLOAD = {
     "pebs_sample": ("src_tier", "latency"),
     "bin_assign": ("pac", "bin", "mlp"),
     "promote_enqueue": ("pac", "bin"),
     "demote_enqueue": ("pac", "bin"),
-    "migration_start": ("src_tier", "dst_tier", "pages"),
-    "migration_complete": ("src_tier", "dst_tier", "pages", "latency"),
-    "migration_abort": ("src_tier", "dst_tier", "pages", "latency"),
     "daemon_tick": ("latency",),
     "txn_prepare": ("src_tier", "dst_tier", "pages"),
     "txn_retry": ("attempt", "latency"),
-    "txn_commit": ("attempt", "latency"),
-    "txn_abort": ("reason", "attempt", "src_tier", "dst_tier", "pages"),
+    "txn_commit": ("attempt", "src_tier", "dst_tier", "pages", "latency"),
+    "txn_abort": ("reason", "attempt", "src_tier", "dst_tier", "pages",
+                  "latency"),
     "txn_admit_reject": ("src_tier", "dst_tier", "pages"),
 }
 
 
 def validate_events_journal(path):
-    """Schema/consistency-check a pact.events/1 journal; returns the
+    """Schema/consistency-check a pact.events/2 journal; returns the
     parsed event list."""
     print(f"events: {path.name}")
     lines = path.read_text().splitlines()
@@ -674,31 +674,53 @@ def validate_events_journal(path):
         for e in events if e.get("kind") in EVENT_PAYLOAD)
     check(payload_ok, "per-kind payload keys present")
     kinds = {e.get("kind") for e in events}
+    # The transaction lifecycle is the only migration record; the
+    # retryable fault classes must leave retries in the journal.
     for needed in ("pebs_sample", "bin_assign", "promote_enqueue",
-                   "migration_start", "migration_complete",
-                   "daemon_tick"):
-        check(needed in kinds, f"journal contains {needed} events")
-    check("migration_abort" in kinds,
-          "fault injection produced migration aborts")
-    # Transaction lifecycle events ride every migration; the retryable
-    # fault classes must leave retries in the journal.
-    for needed in ("txn_prepare", "txn_commit", "txn_abort", "txn_retry"):
+                   "daemon_tick", "txn_prepare", "txn_commit",
+                   "txn_abort", "txn_retry"):
         check(needed in kinds, f"journal contains {needed} events")
     reasons = {e.get("reason") for e in events
                if e.get("kind") == "txn_abort"}
     check(reasons and reasons <= TXN_ABORT_REASONS,
           f"txn_abort reasons drawn from the known vocabulary "
           f"({sorted(reasons)})")
+    check("contention" in reasons,
+          "fault injection produced contention aborts")
     tenants = {e.get("tenant") for e in events}
     check(len(tenants) >= 2, "events span multiple tenant lanes")
     return events
 
 
+def validate_migration_slices(path):
+    """Every async 'e' in the merged trace closes an open 'b' of the
+    same (name, id), and no 'b' is left open: one slice per
+    transaction attempt."""
+    print(f"migration slices: {path.name}")
+    doc = json.loads(path.read_text())
+    depth, begins, orphans = {}, 0, 0
+    for e in doc.get("traceEvents", []):
+        if e.get("ph") not in ("b", "e"):
+            continue
+        key = (e.get("name"), e.get("id"))
+        if e["ph"] == "b":
+            depth[key] = depth.get(key, 0) + 1
+            begins += 1
+        elif depth.get(key, 0) > 0:
+            depth[key] -= 1
+        else:
+            orphans += 1
+    check(begins > 0, "migration slices traced")
+    check(orphans == 0, f"every 'e' closes an open 'b' ({orphans} do not)")
+    left = sum(depth.values())
+    check(left == 0, f"no 'b' left open ({left} are)")
+
+
 def find_provenance_page(events):
     """A promoted page whose full decision chain survived in the ring:
-    binning decision, promote enqueue, migration start + commit."""
-    needed = {"bin_assign", "promote_enqueue", "migration_start",
-              "migration_complete"}
+    binning decision, promote enqueue, transaction prepare + commit."""
+    needed = {"bin_assign", "promote_enqueue", "txn_prepare",
+              "txn_commit"}
     by_page = {}
     for e in events:
         if e.get("kind") in needed and e.get("dst_tier", 0) == 0:
@@ -744,8 +766,8 @@ def validate_inspect_e2e(inspect, manifest, events_path, page):
           "self-diff reports zero differing stats")
     rc, out = run_inspect(inspect, ["--explain", page, events_path])
     chain_ok = all(k in out for k in
-                   ("bin_assign", "promote_enqueue", "migration_start",
-                    "migration_complete", "pac=", "bin="))
+                   ("bin_assign", "promote_enqueue", "txn_prepare",
+                    "txn_commit", "pac=", "bin="))
     check(rc == 0 and chain_ok,
           f"--explain reconstructs page {page}'s provenance chain")
 
@@ -768,13 +790,14 @@ def validate_events_e2e(cli, inspect, tmp, scale):
     pact_inspect reader over the results."""
     n = 4
     # Contention (non-retryable) plus mid-copy aborts (retryable), so
-    # the journal carries both the legacy abort arc and the
-    # transactional abort/retry/commit arc.
+    # the journal carries both a bare abort and the abort/retry/commit
+    # arc.
     faults = "migabort:p=0.2;midabort:p=0.3,at=0.5"
-    m1, e1 = run_events_cli(cli, tmp, 1, n, scale, faults)
-    m4, e4 = run_events_cli(cli, tmp, 4, n, scale, faults)
+    m1, e1, t1 = run_events_cli(cli, tmp, 1, n, scale, faults)
+    m4, e4, _ = run_events_cli(cli, tmp, 4, n, scale, faults)
 
     events = validate_events_journal(e1)
+    validate_migration_slices(t1)
     print("events determinism: PACT_JOBS=1 vs PACT_JOBS=4")
     check(e1.read_bytes() == e4.read_bytes(),
           "events journal byte-identical across job counts")

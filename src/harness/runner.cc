@@ -128,7 +128,12 @@ overriddenConfig(SimConfig cfg, const RunOverrides *mods)
 
 /**
  * Drive a constructed engine to completion under the observer and
- * watchdog conventions shared by every Runner entry point.
+ * watchdog conventions shared by every Runner entry point: one step
+ * per recorder window (or daemon period without a recorder), a
+ * time-series row after each step, and the cooperative wall-clock
+ * watchdog while the run has more work. Stepping retires exactly the
+ * same simulated work as engine.run(), so results under the budget
+ * stay identical.
  */
 RunStats
 driveEngine(Engine &engine, const SimConfig &cfg,
@@ -136,30 +141,25 @@ driveEngine(Engine &engine, const SimConfig &cfg,
             const RunObservers *obs)
 {
     const std::uint64_t timeoutMs = envRunTimeoutMs();
-    if (obs && obs->timeseries) {
-        // Time-series runs are already window-driven; the recorder
-        // owns the loop, so the watchdog does not apply here.
-        return obs::recordRun(engine, *obs->timeseries);
-    }
-    if (timeoutMs > 0) {
-        // Cooperative watchdog: drive the run one daemon period at a
-        // time and give up once the wall-clock budget is spent. The
-        // chunked loop retires exactly the same simulated work as
-        // engine.run(), so results under the budget stay identical.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(timeoutMs);
-        while (engine.runUntil(engine.now() + cfg.daemonPeriod)) {
-            if (std::chrono::steady_clock::now() >= deadline) {
-                throw TimeoutError(detail::buildMessage(
-                    bundle.name, "/", label, ": exceeded "
-                    "PACT_RUN_TIMEOUT_MS=", timeoutMs, " at simulated "
-                    "cycle ", engine.now()));
-            }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeoutMs);
+    obs::TimeSeriesRecorder *rec = obs ? obs->timeseries : nullptr;
+    const Cycles step = rec ? rec->window() : cfg.daemonPeriod;
+    while (true) {
+        const Cycles t0 = engine.now();
+        const bool more = engine.runUntil(t0 + step);
+        if (rec)
+            rec->sample(engine.stats(), t0, engine.now());
+        if (!more)
+            break;
+        if (timeoutMs > 0 && std::chrono::steady_clock::now() >= deadline) {
+            throw TimeoutError(detail::buildMessage(
+                bundle.name, "/", label, ": exceeded "
+                "PACT_RUN_TIMEOUT_MS=", timeoutMs, " at simulated "
+                "cycle ", engine.now()));
         }
-        return engine.snapshot();
     }
-    return engine.run();
+    return engine.snapshot();
 }
 
 /** Per-process slowdowns vs baseline, headline fields, tenant rows. */

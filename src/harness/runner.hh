@@ -208,9 +208,10 @@ double envScale(double deflt = 1.0);
 
 /**
  * Per-run wall-clock budget from PACT_RUN_TIMEOUT_MS (0 = disabled).
- * When set, Runner::runWith() drives the engine in daemon-period
- * chunks and throws TimeoutError once the budget is exceeded, so a
- * hung run becomes a recorded failure instead of wedging the sweep.
+ * When set, every Runner run (time-series runs included) checks it
+ * between daemon-period (or recorder-window) steps and throws
+ * TimeoutError once the budget is exceeded, so a hung run becomes a
+ * recorded failure instead of wedging the sweep.
  * The check is cooperative (between chunks), so it is best-effort: a
  * single chunk that never returns cannot be interrupted. Runs that
  * finish under the budget are bit-identical to unwatched runs — the

@@ -126,23 +126,6 @@ MigrationEngine::chargeWasted(PageId page, std::uint64_t bytes, TierId src,
 }
 
 void
-MigrationEngine::emitEvent(obs::EventKind kind, PageId page, TierId src,
-                           TierId dst, std::uint64_t pages, Cycles latency)
-{
-    obs::PageEvent e;
-    e.now = jNow_;
-    e.kind = kind;
-    e.tenant = jTenant_;
-    e.page = page;
-    e.window = jWindow_;
-    e.srcTier = static_cast<std::uint32_t>(src);
-    e.dstTier = static_cast<std::uint32_t>(dst);
-    e.pages = pages;
-    e.latency = latency;
-    journal_->emit(e);
-}
-
-void
 MigrationEngine::emitTxnEvent(obs::EventKind kind, PageId page, TierId src,
                               TierId dst, std::uint64_t pages,
                               Cycles latency, unsigned attempt,
@@ -193,9 +176,6 @@ MigrationEngine::migrateRegion(PageId page, TierId dst)
                          count, 0, 0, obs::TxnAbortReason::None);
         return false;
     }
-
-    if (journal_)
-        emitEvent(obs::EventKind::MigrationStart, page, src, dst, count, 0);
 
     txnStats_.prepared++;
     if (journal_)
@@ -250,13 +230,10 @@ MigrationEngine::migrateRegion(PageId page, TierId dst)
                 chargeCosts(page, count * PageBytes, src, dst);
             txnStats_.committed++;
             recordOutcome(true, charged, txnWasted);
-            if (journal_) {
+            if (journal_)
                 emitTxnEvent(obs::EventKind::TxnCommit, page, src, dst,
                              count, charged, attempt - 1,
                              obs::TxnAbortReason::None);
-                emitEvent(obs::EventKind::MigrationComplete, page, src, dst,
-                          count, charged);
-            }
             if (dst == TierId::Fast) {
                 stats_.promotedOps++;
                 stats_.promotedPages += count;
@@ -306,12 +283,9 @@ MigrationEngine::migrateRegion(PageId page, TierId dst)
         txnWasted += wasted;
         stats_.failed++;
         txnStats_.aborted++;
-        if (journal_) {
+        if (journal_)
             emitTxnEvent(obs::EventKind::TxnAbort, page, src, dst, count,
                          wasted, attempt, reason);
-            emitEvent(obs::EventKind::MigrationAbort, page, src, dst, count,
-                      wasted);
-        }
 
         // Contention is the legacy non-retryable abort (one schedule
         // draw per migration keeps pre-existing fault schedules
@@ -355,18 +329,23 @@ MigrationEngine::chargeAbortedCopy(PageId page)
     const bool huge = tm_.meta(page).flags & PageFlags::Huge;
     const std::uint64_t count = huge ? PagesPerHugePage : 1;
     const TierId src = tm_.tierOf(page);
+    const TierId dst = otherTier(src);
     // A policy-level transactional abort (Nomad's shadow dirtied under
-    // the copy): the full copy was charged, nothing moved.
+    // the copy): the full copy was charged, nothing moved. Journaled
+    // as the one-attempt transaction the ledger counts.
     const Cycles charged =
-        chargeWasted(page, count * PageBytes, src, otherTier(src), true);
+        chargeWasted(page, count * PageBytes, src, dst, true);
     stats_.failed++;
     txnStats_.prepared++;
     txnStats_.aborted++;
     txnStats_.abortDirty++;
     recordOutcome(false, 0, charged);
-    if (journal_)
-        emitEvent(obs::EventKind::MigrationAbort, page, src, otherTier(src),
-                  count, charged);
+    if (journal_) {
+        emitTxnEvent(obs::EventKind::TxnPrepare, page, src, dst, count, 0,
+                     1, obs::TxnAbortReason::None);
+        emitTxnEvent(obs::EventKind::TxnAbort, page, src, dst, count,
+                     charged, 1, obs::TxnAbortReason::Dirty);
+    }
 }
 
 } // namespace pact

@@ -171,7 +171,8 @@ class MigrationEngine
      * (Nomad's policy-level transactional migration retries: the
      * shadow dirtied under the copy). Consumes bandwidth and penalty
      * but moves nothing; counts as a dirty-conflict abort in the
-     * transaction stats.
+     * transaction stats and journals the matching one-attempt
+     * txn_prepare/txn_abort pair.
      */
     void chargeAbortedCopy(PageId page);
 
@@ -270,8 +271,6 @@ class MigrationEngine
                         TierId dst, bool include_fixed);
     bool admissionRejects() const;
     void recordOutcome(bool committed, Cycles useful, Cycles wasted);
-    void emitEvent(obs::EventKind kind, PageId page, TierId src, TierId dst,
-                   std::uint64_t pages, Cycles latency);
     void emitTxnEvent(obs::EventKind kind, PageId page, TierId src,
                       TierId dst, std::uint64_t pages, Cycles latency,
                       unsigned attempt, obs::TxnAbortReason reason);

@@ -23,12 +23,6 @@ eventKindName(EventKind k)
         return "promote_enqueue";
       case EventKind::DemoteEnqueue:
         return "demote_enqueue";
-      case EventKind::MigrationStart:
-        return "migration_start";
-      case EventKind::MigrationComplete:
-        return "migration_complete";
-      case EventKind::MigrationAbort:
-        return "migration_abort";
       case EventKind::DaemonTick:
         return "daemon_tick";
       case EventKind::TxnPrepare:
@@ -127,23 +121,6 @@ EventJournal::writeJsonl(std::ostream &os) const
             w.kv("pac", e.pac);
             w.kv("bin", static_cast<std::int64_t>(e.bin));
             break;
-          case EventKind::MigrationStart:
-            w.kv("src_tier", static_cast<std::uint64_t>(e.srcTier));
-            w.kv("dst_tier", static_cast<std::uint64_t>(e.dstTier));
-            w.kv("pages", e.pages);
-            break;
-          case EventKind::MigrationComplete:
-            w.kv("src_tier", static_cast<std::uint64_t>(e.srcTier));
-            w.kv("dst_tier", static_cast<std::uint64_t>(e.dstTier));
-            w.kv("pages", e.pages);
-            w.kv("latency", e.latency);
-            break;
-          case EventKind::MigrationAbort:
-            w.kv("src_tier", static_cast<std::uint64_t>(e.srcTier));
-            w.kv("dst_tier", static_cast<std::uint64_t>(e.dstTier));
-            w.kv("pages", e.pages);
-            w.kv("latency", e.latency);
-            break;
           case EventKind::DaemonTick:
             w.kv("latency", e.latency);
             break;
@@ -154,11 +131,13 @@ EventJournal::writeJsonl(std::ostream &os) const
             w.kv("pages", e.pages);
             break;
           case EventKind::TxnAbort:
+            // latency is the copy cost the aborted attempt wasted.
             w.kv("reason", txnAbortReasonName(e.reason));
             w.kv("attempt", static_cast<std::uint64_t>(e.attempt));
             w.kv("src_tier", static_cast<std::uint64_t>(e.srcTier));
             w.kv("dst_tier", static_cast<std::uint64_t>(e.dstTier));
             w.kv("pages", e.pages);
+            w.kv("latency", e.latency);
             break;
           case EventKind::TxnRetry:
             // latency carries the deterministic backoff charged to the
@@ -170,6 +149,9 @@ EventJournal::writeJsonl(std::ostream &os) const
             // attempt counts retries consumed before the commit (0 =
             // first-try commit); latency is the committed copy cost.
             w.kv("attempt", static_cast<std::uint64_t>(e.attempt));
+            w.kv("src_tier", static_cast<std::uint64_t>(e.srcTier));
+            w.kv("dst_tier", static_cast<std::uint64_t>(e.dstTier));
+            w.kv("pages", e.pages);
             w.kv("latency", e.latency);
             break;
         }
@@ -183,33 +165,38 @@ EventJournal::mergeIntoTrace(
     TraceEventSink &sink,
     const std::function<int(std::uint32_t)> &tidOf) const
 {
+    // A transaction journals its events back to back, so at most one
+    // attempt is open at a time; an end whose begin was overwritten in
+    // the ring is skipped.
+    bool open = false;
     for (const PageEvent &e : events()) {
         const double ts = cyclesToUs(e.now);
         const std::uint32_t tid =
             static_cast<std::uint32_t>(tidOf(e.tenant));
+        const char *name = e.dstTier == 0 ? "page promote" : "page demote";
         switch (e.kind) {
-          case EventKind::MigrationStart:
-            sink.asyncEvent(true,
-                            e.dstTier == 0 ? "page promote" : "page demote",
-                            "migration", ts, e.page, tid,
+          case EventKind::TxnPrepare:
+          case EventKind::TxnRetry:
+            // One slice per attempt: the first opens at prepare, each
+            // re-armed attempt at its retry.
+            open = true;
+            sink.asyncEvent(true, name, "migration", ts, e.page, tid,
                             {{"page", static_cast<double>(e.page)},
                              {"pages", static_cast<double>(e.pages)}});
             break;
-          case EventKind::MigrationComplete:
+          case EventKind::TxnCommit:
             // The engine charges the copy synchronously at `now`; give
             // the slice its charged width so the lane reads as a
             // timeline of copy costs.
-            sink.asyncEvent(false,
-                            e.dstTier == 0 ? "page promote" : "page demote",
-                            "migration", cyclesToUs(e.now + e.latency),
-                            e.page, tid);
+            if (open)
+                sink.asyncEvent(false, name, "migration",
+                                cyclesToUs(e.now + e.latency), e.page, tid);
+            open = false;
             break;
-          case EventKind::MigrationAbort:
-            // Aborts close the open slice too (zero-width when the
-            // fault fired before any copy was charged).
-            sink.asyncEvent(false,
-                            e.dstTier == 0 ? "page promote" : "page demote",
-                            "migration", ts, e.page, tid);
+          case EventKind::TxnAbort:
+            if (open)
+                sink.asyncEvent(false, name, "migration", ts, e.page, tid);
+            open = false;
             break;
           default:
             break;

@@ -2,17 +2,17 @@
  * @file
  * Decision provenance journal: an opt-in, bounded ring of typed
  * page-lifecycle events — PEBS sample, binning decision, promote/
- * demote enqueue, migration start/complete/abort, the transactional
- * migration lifecycle (prepare/retry/commit/abort with reason), daemon
- * tick — each stamped with the cycle, tenant, page, and the policy
- * inputs (PAC score, bin, MLP, daemon window) that drove the decision.
- * Together they answer "why was this page promoted?" offline, which
- * aggregate counters cannot.
+ * demote enqueue, the migration transaction (prepare/retry/commit/
+ * abort with reason, admission reject; the journal's only migration
+ * record), daemon tick — each stamped with the cycle, tenant, page,
+ * and the policy inputs (PAC score, bin, MLP, daemon window) that
+ * drove the decision. Together they answer "why was this page
+ * promoted?" offline, which aggregate counters cannot.
  *
  * The journal is off by default (no journal pointer wired = zero
  * cost beyond a null check at each emit site) and deterministic when
  * on: events are emitted from the single-threaded engine loop in
- * execution order, so the exported pact.events/1 JSONL is
+ * execution order, so the exported pact.events/2 JSONL is
  * byte-identical at any PACT_JOBS. When the ring fills, the oldest
  * events are overwritten and `dropped` counts them — the journal is a
  * flight recorder, not a complete log.
@@ -42,14 +42,11 @@ enum class EventKind : std::uint8_t
     BinAssign,        ///< policy placed the page in a criticality bin
     PromoteEnqueue,   ///< policy asked the migration engine to promote
     DemoteEnqueue,    ///< policy asked the migration engine to demote
-    MigrationStart,   ///< migration engine began copying
-    MigrationComplete,///< copy committed (latency = charged cycles)
-    MigrationAbort,   ///< copy aborted (fault injection)
     DaemonTick,       ///< a policy daemon window closed (page = 0)
     TxnPrepare,       ///< migration transaction opened (shadow copy)
     TxnRetry,         ///< aborted attempt re-armed after backoff
-    TxnCommit,        ///< transaction validated and committed
-    TxnAbort,         ///< attempt aborted (reason + attempt number)
+    TxnCommit,        ///< committed (latency = charged cycles)
+    TxnAbort,         ///< attempt aborted (latency = wasted cycles)
     TxnAdmitReject,   ///< admission control rejected the migration
 };
 
@@ -85,7 +82,7 @@ struct PageEvent
     double mlp = 0.0;          ///< per-tier MLP input to attribution
     std::uint32_t srcTier = 0; ///< migration source tier
     std::uint32_t dstTier = 0; ///< migration destination tier
-    std::uint64_t latency = 0; ///< migration charged cycles (Complete)
+    std::uint64_t latency = 0; ///< cycles (per-kind meaning)
     std::uint64_t pages = 0;   ///< pages moved (migration events)
     std::uint32_t attempt = 0; ///< transaction attempt number (txn_*)
     TxnAbortReason reason = TxnAbortReason::None; ///< abort reason
@@ -118,18 +115,20 @@ class EventJournal
     std::vector<PageEvent> events() const;
 
     /**
-     * Write the journal as pact.events/1 JSONL: a header object
+     * Write the journal as pact.events/2 JSONL: a header object
      * {schema, capacity, emitted, dropped} then one event per line in
      * seq order. Deterministic: same run = same bytes.
      */
     void writeJsonl(std::ostream &os) const;
 
     /**
-     * Merge migration events into a Chrome/Perfetto trace as per-page
-     * async slices: MigrationStart opens a 'b' slice (id = page) on
-     * the tenant's migration lane, MigrationComplete/Abort closes it.
-     * @p tidOf maps tenant -> trace tid (the per-tenant migration
-     * lane).
+     * Merge migration transactions into a Chrome/Perfetto trace as
+     * one async slice per attempt on the tenant's migration lane:
+     * TxnPrepare and TxnRetry open a 'b' slice (id = page), TxnCommit
+     * closes it at now + latency and TxnAbort at now, so begins and
+     * ends always balance (an end whose begin was overwritten in the
+     * ring is skipped). @p tidOf maps tenant -> trace tid (the
+     * per-tenant migration lane).
      */
     void mergeIntoTrace(
         TraceEventSink &sink,

@@ -46,11 +46,14 @@ namespace obs
  * every trace. pact.timeseries/2 adds the header "distributions" list
  * and per-row "dist" per-window summaries. pact.events/1 is the
  * decision-provenance journal JSONL (header object, then one typed
- * page-lifecycle event per line).
+ * page-lifecycle event per line). pact.events/2 makes the txn_* arc
+ * the only migration record: the migration_start/complete/abort kinds
+ * are gone, txn_commit carries src_tier/dst_tier/pages and txn_abort
+ * its wasted-cycle latency.
  */
 inline constexpr const char *ManifestSchema = "pact.manifest/6";
 inline constexpr const char *TimeSeriesSchema = "pact.timeseries/2";
-inline constexpr const char *EventsSchema = "pact.events/1";
+inline constexpr const char *EventsSchema = "pact.events/2";
 
 /** Escape a string for embedding inside JSON double quotes. */
 std::string jsonEscape(std::string_view s);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Per-window time-series recorder: drives a simulation in fixed
- * daemon-period windows and emits one JSONL row per window with every
- * registered stat — counters as per-window deltas, gauges as levels.
- * Rows are canonical (name-sorted fields, deterministic number
- * formatting), so the artifact is byte-identical for any PACT_JOBS.
+ * Per-window time-series recorder: sampled after every fixed
+ * daemon-period window of a run, it emits one JSONL row per window
+ * with every registered stat — counters as per-window deltas, gauges
+ * as levels. Rows are canonical (name-sorted fields, deterministic
+ * number formatting), so the artifact is byte-identical for any
+ * PACT_JOBS.
  */
 
 #ifndef PACT_OBS_TIMESERIES_HH
@@ -15,8 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hh"
 #include "obs/metrics.hh"
-#include "sim/engine.hh"
 
 namespace pact
 {
@@ -35,7 +36,7 @@ class TimeSeriesRecorder
     /**
      * @param os Destination stream (one JSON document per line).
      * @param window Window length in cycles (typically the daemon
-     *               period); recordRun() drives the engine in these
+     *               period); the Runner drives the engine in these
      *               steps.
      */
     TimeSeriesRecorder(std::ostream &os, Cycles window);
@@ -66,26 +67,6 @@ class TimeSeriesRecorder
     /** Previous cumulative counts, aligned with distNames_. */
     std::vector<std::uint64_t> prevCount_;
 };
-
-/**
- * Run an engine to completion in recorder windows, emitting one row
- * per window (the trailing partial window included). Inline so the
- * obs library itself carries no link dependency on the sim library.
- *
- * @return The final run statistics, as Engine::run() would return.
- */
-inline RunStats
-recordRun(Engine &eng, TimeSeriesRecorder &rec)
-{
-    while (true) {
-        const Cycles t0 = eng.now();
-        const bool more = eng.runUntil(t0 + rec.window());
-        rec.sample(eng.stats(), t0, eng.now());
-        if (!more)
-            break;
-    }
-    return eng.snapshot();
-}
 
 } // namespace obs
 

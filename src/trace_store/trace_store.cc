@@ -434,7 +434,8 @@ traceStoreSave(const std::string &dir, const std::string &key,
     hdr.checksum = sum;
 
     // Unique temp name per process AND per call: concurrent saves of
-    // the same key (PACT_WORKLOAD_CACHE=0) must not tear each other.
+    // the same key (from separate processes sharing one store, or
+    // after clearWorkloadCache()) must not tear each other.
     static std::atomic<std::uint64_t> saveSeq{0};
     const std::string path = dir + "/" + traceStoreFileName(key);
     const std::string tmp = path + ".tmp." +

@@ -165,17 +165,6 @@ namespace
 
 using BundlePtr = std::shared_ptr<const WorkloadBundle>;
 
-/** PACT_WORKLOAD_CACHE=0 disables bundle sharing. */
-bool
-cacheEnabled()
-{
-    static const bool enabled = [] {
-        const char *s = std::getenv("PACT_WORKLOAD_CACHE");
-        return !s || !*s || std::string(s) != "0";
-    }();
-    return enabled;
-}
-
 std::mutex bundleCacheMutex;
 std::map<std::string, std::shared_future<BundlePtr>> bundleCache;
 
@@ -242,13 +231,6 @@ makeWorkloadShared(const std::string &name, const WorkloadOptions &opt,
 {
     const std::string key = workloadCacheKey(name, opt);
     WorkloadSource src = WorkloadSource::MemoryCache;
-
-    if (!cacheEnabled()) {
-        BundlePtr b = buildOrLoad(name, opt, key, src);
-        if (source)
-            *source = src;
-        return b;
-    }
 
     // First caller for a key installs the future and builds outside
     // the lock; concurrent callers for the same key wait on the same

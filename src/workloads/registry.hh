@@ -35,8 +35,9 @@ WorkloadBundle makeWorkload(const std::string &name,
  * cache. Bundles are returned as shared_ptr<const ...> — Engine never
  * mutates a bundle, so sharing across threads is safe.
  *
- * Set PACT_WORKLOAD_CACHE=0 to disable (every call builds a private
- * copy); a failed build is not cached, so callers can retry.
+ * A failed build is not cached, so callers can retry. A caller that
+ * needs a fresh generation calls makeWorkload() directly, or drops
+ * every cached bundle with clearWorkloadCache().
  */
 std::shared_ptr<const WorkloadBundle>
 makeWorkloadShared(const std::string &name,

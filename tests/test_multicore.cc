@@ -190,9 +190,6 @@ TEST(Multicore, OneTenantReproducesGoldenCorners)
 TEST(Multicore, TwoTenantManifestBytesAreJobInvariant)
 {
     const EnvGuard guard("PACT_JOBS");
-    // Bypass the shared-bundle cache so each run regenerates its
-    // traces under the PACT_JOBS value being tested.
-    const EnvGuard cacheGuard("PACT_WORKLOAD_CACHE");
     const EnvGuard storeGuard("PACT_TRACE_DIR");
     unsetenv("PACT_TRACE_DIR");
 
@@ -244,7 +241,6 @@ twoTenantTimeSeries(const char *jobs)
 TEST(Multicore, TwoTenantTimeSeriesBytesAreJobInvariant)
 {
     const EnvGuard guard("PACT_JOBS");
-    const EnvGuard cacheGuard("PACT_WORKLOAD_CACHE");
     const EnvGuard storeGuard("PACT_TRACE_DIR");
     unsetenv("PACT_TRACE_DIR");
 
@@ -444,7 +440,7 @@ TEST(Multicore, StartTimeMigrationJournalsCorrectTenant)
 
     bool saw0 = false, saw1 = false;
     for (const obs::PageEvent &ev : journal.events()) {
-        if (ev.kind != obs::EventKind::MigrationStart)
+        if (ev.kind != obs::EventKind::TxnPrepare)
             continue;
         if (ev.page == pol0.startPage && ev.now == 0) {
             EXPECT_EQ(ev.tenant, 0u);

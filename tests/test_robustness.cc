@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -629,6 +630,23 @@ TEST_F(RobustnessTest, WatchdogTimeoutBecomesAStructuredFailure)
     EXPECT_EQ(out[0].error.kind, "TimeoutError");
     EXPECT_NE(out[0].error.message.find("PACT_RUN_TIMEOUT_MS"),
               std::string::npos);
+}
+
+TEST_F(RobustnessTest, WatchdogCoversTimeSeriesRuns)
+{
+    // The same runaway run, driven in recorder windows: the watchdog
+    // must cut it off too.
+    const WorkloadBundle b = tinyBundle(4000000);
+    Runner runner;
+    runner.baseline(b); // unwatched, so only the recorded run can time out
+    std::ostringstream rows;
+    obs::TimeSeriesRecorder rec(rows, runner.config().daemonPeriod);
+    RunObservers observers;
+    observers.timeseries = &rec;
+    setenv("PACT_RUN_TIMEOUT_MS", "1", 1);
+    EXPECT_THROW(runner.run(b, "PACT", 0.4, &observers), TimeoutError);
+    unsetenv("PACT_RUN_TIMEOUT_MS");
+    EXPECT_GT(rec.rows(), 0u);
 }
 
 TEST_F(RobustnessTest, WatchedRunUnderBudgetIsIdenticalToUnwatched)
