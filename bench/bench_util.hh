@@ -29,8 +29,7 @@ benchSetup(const std::string &title, double default_scale = 1.0)
     const double scale = envScale(default_scale);
     std::printf("==============================================\n");
     std::printf("%s\n", title.c_str());
-    std::printf("(workload scale %.2f; set PACT_SCALE/PACT_QUICK to "
-                "adjust)\n",
+    std::printf("(workload scale %.2f; set PACT_SCALE to adjust)\n",
                 scale);
     std::printf("==============================================\n");
     return scale;

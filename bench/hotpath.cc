@@ -1,15 +1,13 @@
 /**
  * @file
  * End-to-end hot-path benchmark: trace ops per second through a full
- * Engine::run, the metric scripts/bench_perf.py records into
- * BENCH_hotpath.json. Every paper figure is a sweep of exactly these
- * runs, so items_per_second here is the wall-clock currency of the
- * whole experiment harness.
+ * Engine::run. perfbench/ is the benchmark of record and already times
+ * the graph sweep and the healthy short-window colocations; the rows
+ * here are the single-run shapes it does not cover, including the
+ * PACT short-window rows that time the migration livelock.
+ * BENCH_hotpath.json is their frozen history (last entry pr10-daemon).
  *
- * Workload scale defaults to 0.5 and follows PACT_SCALE/PACT_QUICK so
- * the bench_perf_smoke ctest entry can run a tiny configuration; the
- * recorded perf trajectory must always be produced at one fixed scale
- * (bench_perf.py pins it) to stay comparable across commits.
+ * Workload scale defaults to 0.5 and follows PACT_SCALE.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,7 +17,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "harness/pool.hh"
+#include "harness/runner.hh"
 #include "policies/registry.hh"
 #include "sim/engine.hh"
 #include "workloads/registry.hh"
@@ -87,39 +85,6 @@ engineRun(benchmark::State &state, const char *workload,
 }
 
 /**
- * The figure-sweep shape through the public harness: Runner::run of
- * the five graph-sweep policies at 1:1, one run at a time. The
- * runner's DRAM-only baseline is computed before timing starts, so
- * every timed run replays the LLC outcome stream that baseline
- * recorded; the engineRun rows above build Engine directly and keep
- * timing the live LLC probe.
- */
-void
-runnerSweep(benchmark::State &state, const char *workload)
-{
-    setLogQuiet(true);
-    WorkloadOptions opt;
-    opt.scale = envScale(0.5);
-    const auto bundle = makeWorkloadShared(workload, opt);
-
-    Runner runner;
-    runner.baseline(*bundle);
-    std::vector<RunSpec> specs;
-    for (const char *p : {"PACT", "Memtis", "TPP", "Colloid", "NoTier"})
-        specs.push_back({bundle.get(), p, Runner::ratioShare(1, 1)});
-
-    std::uint64_t ops = 0;
-    for (auto _ : state) {
-        for (const RunResult &r : runMany(runner, specs, 1)) {
-            for (const std::uint64_t n : r.stats.procRetired)
-                ops += n;
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-    state.counters["scale"] = opt.scale;
-}
-
-/**
  * Register one engineRun row under @p name (the row names predate the
  * shared body and key the BENCH_hotpath.json trajectory).
  */
@@ -146,10 +111,6 @@ registerRows()
     engineRow("engineRun/silo_Memtis", "silo", "Memtis", Tenancy::Shared);
     engineRow("engineTenants/coloc4_PACT", "masim-coloc4", "PACT",
               Tenancy::PerTrace);
-    // The graph-sweep unit through Runner::run: LLC outcome replay.
-    benchmark::RegisterBenchmark("runnerSweep/bckron", runnerSweep,
-                                 "bc-kron")
-        ->Unit(benchmark::kMillisecond);
     // The named two-process colocation on the same path (the serial
     // baseline of the DESIGN.md §7c measurements).
     engineRow("engineTenants/coloc2_PACT", "masim-coloc", "PACT",
@@ -167,15 +128,6 @@ registerRows()
               Tenancy::PerTrace, 200000);
     engineRow("engineDaemon/coloc16_PACT_p100k", "masim-coloc16", "PACT",
               Tenancy::PerTrace, 100000);
-    // Short-window rows from healthy runs: the PACT p100k/p200k rows
-    // above time runs that livelock into the wall-cycle cap, so they
-    // price the migration storm. TPP and Colloid complete at 200k, and
-    // their ticks are dominated by NUMA-hint arming
-    // (TierManager::armHints).
-    engineRow("engineDaemon/coloc16_TPP_p200k", "masim-coloc16", "TPP",
-              Tenancy::PerTrace, 200000);
-    engineRow("engineDaemon/coloc16_Colloid_p200k", "masim-coloc16",
-              "Colloid", Tenancy::PerTrace, 200000);
 }
 
 } // namespace
@@ -183,19 +135,6 @@ registerRows()
 int
 main(int argc, char **argv)
 {
-    // The stock context's library_build_type describes how the
-    // google-benchmark *library* was compiled; record this binary's
-    // own build type so bench_perf.py can refuse to log unoptimized
-    // numbers into the tracked trajectory. PACT_BUILD_TYPE carries
-    // CMAKE_BUILD_TYPE (bench/CMakeLists.txt); NDEBUG is the fallback
-    // for builds outside CMake.
-#ifdef PACT_BUILD_TYPE
-    benchmark::AddCustomContext("pact_build_type", PACT_BUILD_TYPE);
-#elif defined(NDEBUG)
-    benchmark::AddCustomContext("pact_build_type", "release");
-#else
-    benchmark::AddCustomContext("pact_build_type", "debug");
-#endif
     registerRows();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

@@ -60,7 +60,6 @@ import tempfile
 MANIFEST_SCHEMA = "pact.manifest/6"
 TIMESERIES_SCHEMA = "pact.timeseries/2"
 EVENTS_SCHEMA = "pact.events/2"
-BENCH_PERF_SCHEMA = "pact.bench_perf/1"
 # Fixed log-linear histogram layout (obs::Distribution).
 DIST_NUM_BINS = 1 + (63 - (-32) + 1) * 4
 EVENT_KINDS = {
@@ -361,50 +360,6 @@ def validate_trace(path):
     check("M" in phases, "thread-name metadata present")
     names = {e.get("name") for e in events}
     check("daemon.tick" in names, "daemon ticks traced")
-
-
-def validate_bench_json(path):
-    """Schema-check a BENCH_hotpath.json perf trajectory.
-
-    Importable (scripts/bench_perf.py self-checks its output, and the
-    bench_perf_smoke ctest entry runs it via --bench-json). Returns a
-    list of error strings; empty means the artifact is well-formed.
-    """
-    errors = []
-
-    def need(cond, msg):
-        if not cond:
-            errors.append(f"{path}: {msg}")
-
-    try:
-        doc = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as e:
-        return [f"{path}: unreadable ({e})"]
-    need(doc.get("schema") == BENCH_PERF_SCHEMA,
-         f"schema tag is {BENCH_PERF_SCHEMA}")
-    entries = doc.get("entries", [])
-    need(isinstance(entries, list) and entries, "at least one entry")
-    labels = [e.get("label") for e in entries if isinstance(e, dict)]
-    need(len(labels) == len(set(labels)), "entry labels are unique")
-    for e in entries if isinstance(entries, list) else []:
-        tag = f"entry {e.get('label')!r}" if isinstance(e, dict) \
-            else "entry"
-        if not isinstance(e, dict):
-            need(False, f"{tag} is an object")
-            continue
-        need(isinstance(e.get("label"), str) and e["label"],
-             f"{tag} carries a label")
-        need(isinstance(e.get("scale"), (int, float)) and e["scale"] > 0,
-             f"{tag} records a positive workload scale")
-        benches = e.get("benchmarks", {})
-        need(isinstance(benches, dict) and benches,
-             f"{tag} carries at least one benchmark")
-        for name, b in benches.items() if isinstance(benches, dict) \
-                else []:
-            need(isinstance(b, dict) and
-                 b.get("items_per_second", 0) > 0,
-                 f"{tag}/{name} has positive items_per_second")
-    return errors
 
 
 def trace_store_checksum(data):
@@ -820,8 +775,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cli",
                     help="path to the pactsim_cli binary")
-    ap.add_argument("--bench-json",
-                    help="only validate a BENCH_hotpath.json artifact")
     ap.add_argument("--trace-store",
                     help="only validate a .pacttrace file (or every "
                          "one under a directory)")
@@ -848,17 +801,8 @@ def main():
             return 1
         print("\nall trace-store checks passed")
         return 0
-    if args.bench_json:
-        errors = validate_bench_json(args.bench_json)
-        for e in errors:
-            print(f"  FAIL: {e}")
-        if errors:
-            return 1
-        print(f"  ok: {args.bench_json} matches {BENCH_PERF_SCHEMA}")
-        return 0
     if not args.cli:
-        ap.error("--cli is required unless --bench-json or "
-                 "--trace-store is given")
+        ap.error("--cli is required unless --trace-store is given")
 
     if args.trace_store_only:
         with tempfile.TemporaryDirectory(prefix="pact-store-") as tmp:

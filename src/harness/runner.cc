@@ -1,6 +1,7 @@
 #include "harness/runner.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.hh"
@@ -305,16 +306,15 @@ envRunTimeoutMs()
 double
 envScale(double deflt)
 {
-    if (const char *s = std::getenv("PACT_SCALE")) {
-        const double v = std::atof(s);
-        if (v > 0.0)
-            return v;
-    }
-    if (const char *q = std::getenv("PACT_QUICK")) {
-        if (q[0] != '\0' && q[0] != '0')
-            return 0.25;
-    }
-    return deflt;
+    const char *s = std::getenv("PACT_SCALE");
+    if (!s)
+        return deflt;
+    char *end = nullptr;
+    const double v = std::strtod(s, &end);
+    throw_config_if(end == s || *end != '\0' || !(v > 0.0) ||
+                        !std::isfinite(v),
+                    "PACT_SCALE='", s, "' is not a positive number");
+    return v;
 }
 
 } // namespace pact

@@ -202,7 +202,10 @@ class Runner
 
 /**
  * Benchmark scale factor from the environment: PACT_SCALE=<float>
- * overrides; PACT_QUICK=1 selects 0.25. Defaults to @p deflt.
+ * overrides @p deflt.
+ *
+ * @throws ConfigError when PACT_SCALE is set but is not a positive
+ *         number.
  */
 double envScale(double deflt = 1.0);
 

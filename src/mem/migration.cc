@@ -77,27 +77,7 @@ MigrationEngine::admissionRejects() const
 
 Cycles
 MigrationEngine::chargeCosts(PageId page, std::uint64_t bytes, TierId src,
-                             TierId dst)
-{
-    const Cycles copy = backend_.chargeCopy(src, dst, bytes);
-    stats_.copyCycles += copy;
-    const bool huge = tm_.meta(page).flags & PageFlags::Huge;
-    const Cycles fixed = huge ? cfg_.fixedCyclesHuge : cfg_.fixedCycles4k;
-    const auto penalty =
-        static_cast<Cycles>(cfg_.appPenaltyFraction *
-                            static_cast<double>(fixed + copy));
-    stats_.appPenaltyCycles += penalty;
-    const ProcId owner = tm_.meta(page).owner;
-    if (owner < pendingPenalty_.size())
-        pendingPenalty_[owner] += penalty;
-    const Cycles total = fixed + copy;
-    latDist_.record(static_cast<double>(total));
-    return total;
-}
-
-Cycles
-MigrationEngine::chargeWasted(PageId page, std::uint64_t bytes, TierId src,
-                              TierId dst, bool include_fixed)
+                             TierId dst, bool include_fixed)
 {
     // An abort before any work started (mid-copy abort at progress 0)
     // must be observably free: no bandwidth, no penalty, no latency
@@ -121,7 +101,6 @@ MigrationEngine::chargeWasted(PageId page, std::uint64_t bytes, TierId src,
         pendingPenalty_[owner] += penalty;
     const Cycles total = fixed + copy;
     latDist_.record(static_cast<double>(total));
-    txnStats_.wastedCopyCycles += total;
     return total;
 }
 
@@ -227,7 +206,7 @@ MigrationEngine::migrateRegion(PageId page, TierId dst)
                     lru_.moveTier(p, dst, tm_);
             }
             const Cycles charged =
-                chargeCosts(page, count * PageBytes, src, dst);
+                chargeCosts(page, count * PageBytes, src, dst, true);
             txnStats_.committed++;
             recordOutcome(true, charged, txnWasted);
             if (journal_)
@@ -253,13 +232,13 @@ MigrationEngine::migrateRegion(PageId page, TierId dst)
             // Legacy whole-copy contention abort: full copy + fixed
             // overhead wasted (the pre-transactional cost model).
             txnStats_.abortContention++;
-            wasted = chargeWasted(page, count * PageBytes, src, dst, true);
+            wasted = chargeCosts(page, count * PageBytes, src, dst, true);
             break;
           case obs::TxnAbortReason::WriteFail:
             // Failed before any data moved; only the kernel overhead
             // of the attempted move_pages() is lost.
             txnStats_.abortWriteFail++;
-            wasted = chargeWasted(page, 0, src, dst, true);
+            wasted = chargeCosts(page, 0, src, dst, true);
             break;
           case obs::TxnAbortReason::MidCopy: {
             // Aborted at a progress fraction: that fraction of the
@@ -268,19 +247,20 @@ MigrationEngine::migrateRegion(PageId page, TierId dst)
             const auto bytes = static_cast<std::uint64_t>(
                 static_cast<double>(count * PageBytes) *
                 faults_->midCopyProgress());
-            wasted = chargeWasted(page, bytes, src, dst, bytes > 0);
+            wasted = chargeCosts(page, bytes, src, dst, bytes > 0);
             break;
           }
           case obs::TxnAbortReason::Dirty:
             // The full copy completed, then validation failed: all of
             // it is wasted.
             txnStats_.abortDirty++;
-            wasted = chargeWasted(page, count * PageBytes, src, dst, true);
+            wasted = chargeCosts(page, count * PageBytes, src, dst, true);
             break;
           case obs::TxnAbortReason::None:
             break;
         }
         txnWasted += wasted;
+        txnStats_.wastedCopyCycles += wasted;
         stats_.failed++;
         txnStats_.aborted++;
         if (journal_)
@@ -334,7 +314,8 @@ MigrationEngine::chargeAbortedCopy(PageId page)
     // the copy): the full copy was charged, nothing moved. Journaled
     // as the one-attempt transaction the ledger counts.
     const Cycles charged =
-        chargeWasted(page, count * PageBytes, src, dst, true);
+        chargeCosts(page, count * PageBytes, src, dst, true);
+    txnStats_.wastedCopyCycles += charged;
     stats_.failed++;
     txnStats_.prepared++;
     txnStats_.aborted++;

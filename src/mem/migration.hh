@@ -258,17 +258,16 @@ class MigrationEngine
     };
 
     bool migrateRegion(PageId page, TierId dst);
-    /** @return total charged cycles (fixed overhead + copy). */
-    Cycles chargeCosts(PageId page, std::uint64_t bytes, TierId src,
-                       TierId dst);
     /**
-     * Charge an aborted attempt: @p bytes of copy bandwidth plus,
-     * when @p include_fixed, the fixed kernel overhead. Charges
-     * nothing at all (no penalty, no latency sample) when both are
-     * zero — an abort before any work started is free.
+     * Charge one copy attempt: @p bytes of copy bandwidth plus, when
+     * @p include_fixed, the fixed kernel overhead, with the matching
+     * app penalty and latency sample. Charges nothing at all when both
+     * are zero — an abort before any work started is free.
+     *
+     * @return total charged cycles (fixed overhead + copy).
      */
-    Cycles chargeWasted(PageId page, std::uint64_t bytes, TierId src,
-                        TierId dst, bool include_fixed);
+    Cycles chargeCosts(PageId page, std::uint64_t bytes, TierId src,
+                       TierId dst, bool include_fixed);
     bool admissionRejects() const;
     void recordOutcome(bool committed, Cycles useful, Cycles wasted);
     void emitTxnEvent(obs::EventKind kind, PageId page, TierId src,

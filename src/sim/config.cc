@@ -77,10 +77,13 @@ SimConfig::validate() const
                     "SimConfig.migration.txnBackoffCycles is "
                     "implausibly large, got ", migration.txnBackoffCycles);
 
-    throw_config_if(daemonPeriod == 0,
-                    "SimConfig.daemonPeriod must be >= 1 cycle, got 0");
     throw_config_if(slice == 0,
                     "SimConfig.slice must be >= 1 cycle, got 0");
+    // Ticks fire only at slice ends, so a shorter period would run as
+    // one window per slice.
+    throw_config_if(daemonPeriod < slice,
+                    "SimConfig.daemonPeriod must be >= SimConfig.slice (",
+                    slice, " cycles), got ", daemonPeriod);
     throw_config_if(maxWallCycles == 0,
                     "SimConfig.maxWallCycles must be >= 1 cycle, got 0");
 

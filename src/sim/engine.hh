@@ -7,8 +7,9 @@
  * cores, and (optionally) its own policy daemon — the runtime
  * structure of one userspace PACT daemon per colocated process in the
  * paper. Cores advance in bounded lockstep slices (epochs no longer
- * than SimConfig::slice, which daemon windows are a multiple of), so
- * a run is deterministic and byte-identical at any PACT_JOBS.
+ * than SimConfig::slice; a daemon window closes at the first slice end
+ * at or after its period), so a run is deterministic and
+ * byte-identical at any PACT_JOBS.
  */
 
 #ifndef PACT_SIM_ENGINE_HH
@@ -237,8 +238,9 @@ class Engine : public MigrationBackend
 
     /**
      * Attach a decision-provenance journal: PEBS samples, policy
-     * bin/enqueue decisions, migration start/complete/abort, and
-     * daemon ticks are recorded as typed page events. Opt-in — a null
+     * bin/enqueue decisions, the migration transaction arc
+     * (txn_prepare/retry/commit/abort/admit_reject), and daemon
+     * ticks are recorded as typed page events. Opt-in — a null
      * journal (the default) costs nothing on the hot path. Call
      * before the first runUntil(); must outlive the engine.
      */

@@ -130,14 +130,14 @@ TEST(Sweep, RatioSweepShapesOutput)
 TEST(Harness, EnvScaleParsesOverrides)
 {
     unsetenv("PACT_SCALE");
-    unsetenv("PACT_QUICK");
     EXPECT_DOUBLE_EQ(envScale(1.0), 1.0);
-    setenv("PACT_QUICK", "1", 1);
-    EXPECT_DOUBLE_EQ(envScale(1.0), 0.25);
     setenv("PACT_SCALE", "0.5", 1);
     EXPECT_DOUBLE_EQ(envScale(1.0), 0.5);
+    for (const char *bad : {"", "abc", "0.5x", "0", "-1", "nan", "inf"}) {
+        setenv("PACT_SCALE", bad, 1);
+        EXPECT_THROW(envScale(1.0), ConfigError) << "PACT_SCALE=" << bad;
+    }
     unsetenv("PACT_SCALE");
-    unsetenv("PACT_QUICK");
 }
 
 TEST(Runner, SoarGetsProfiledAutomatically)

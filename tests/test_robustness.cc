@@ -157,6 +157,8 @@ TEST(SimConfigValidate, DiagnosticsNameTheField)
     SimConfig c5;
     c5.daemonPeriod = 0;
     expectNames(c5, "daemonPeriod");
+    c5.daemonPeriod = c5.slice / 2;
+    expectNames(c5, "daemonPeriod");
 
     SimConfig c6;
     c6.migration.appPenaltyFraction =
