@@ -514,9 +514,12 @@ BENCHMARK(BM_RegistrySample)->Arg(48);
 /**
  * Startup cost, cold: generate bc-kron from scratch (graph build, bc
  * kernel, init pass) — what every process pays without the trace
- * store. items_per_second = trace ops made available per second, so
- * BM_WorkloadGenWarm / BM_WorkloadGenCold reads directly as the
- * warm-start speedup recorded in BENCH_hotpath.json.
+ * store. items_per_second = trace ops made available per second of
+ * the benchmark thread's CPU time. Cold generation fans out over a
+ * thread pool, so that rate flatters it; the warm-start speedup is the
+ * ratio of the two wall times. EXPERIMENTS.md ("Trace store") holds
+ * the current numbers; the frozen BENCH_hotpath.json holds only the
+ * first measurement.
  */
 static void
 BM_WorkloadGenCold(benchmark::State &state)

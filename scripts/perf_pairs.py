@@ -4,10 +4,12 @@
     scripts/perf_pairs.py --parent <rev|dir> [--pairs 10]
 
 The change is the working tree this script sits in. The parent is a
-directory used as it is, or a git revision checked out as a temporary
-`git worktree` under the build directory. Both trees are measured with
-their own unchanged `perfbench/run.py`, each built into its own
-directory (one shared build when both are the same tree).
+directory used as it is (labelled by its HEAD when it is a git
+checkout, such as a `git clone` of the parent commit), or a git
+revision checked out as a temporary `git worktree` under the build
+directory. Both trees are measured with their own unchanged
+`perfbench/run.py`, each built into its own directory (one shared
+build when both are the same tree).
 
 Every workload, the run length and each end-to-end metric's `better`
 direction and `bound` come from the change's BENCHMARK.json. For each
@@ -70,25 +72,29 @@ METRIC_KEYS = {
 }
 
 
-def git(*args):
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+def git(*args, tree=ROOT):
+    return subprocess.run(["git", "-C", str(tree), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
-def describe_change():
-    """HEAD of the working tree, marked when it has local edits."""
+def describe(tree):
+    """HEAD of a checkout, marked when it has local edits; else its path."""
+    if not (tree / ".git").exists():
+        return str(tree)
     try:
-        head = git("rev-parse", "--short", "HEAD")
-        return head + ("+dirty" if git("status", "--porcelain") else "")
+        head = git("rev-parse", "--short", "HEAD", tree=tree)
+        dirty = git("status", "--porcelain", tree=tree)
+        return head + ("+dirty" if dirty else "")
     except (OSError, subprocess.CalledProcessError):
-        return str(ROOT)
+        return str(tree)
 
 
 @contextlib.contextmanager
 def parent_tree(spec, build_dir):
     """The parent as a directory; a revision gets a temporary worktree."""
     if Path(spec).is_dir():
-        yield Path(spec).resolve(), str(Path(spec).resolve())
+        tree = Path(spec).resolve()
+        yield tree, describe(tree)
         return
     sha = git("rev-parse", "--verify", spec + "^{commit}")
     tree = build_dir / "parent-src"
@@ -288,7 +294,7 @@ def measure(args):
         context = {
             "date": datetime.date.today().isoformat(),
             "host": {"cpus": os.cpu_count() or 0},
-            "parent": parent_label, "change": describe_change(),
+            "parent": parent_label, "change": describe(ROOT),
             "seconds": seconds, "scale": args.scale,
         }
         new = []

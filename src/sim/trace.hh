@@ -164,6 +164,9 @@ class TraceOpSpan
     /** True when the ops alias a shared mapping (warm start). */
     bool mapped() const { return backing_ != nullptr; }
 
+    /** Ops the owned storage holds before it reallocates (0 if mapped). */
+    std::size_t capacity() const { return owned_.capacity(); }
+
     void
     reserve(std::size_t n)
     {

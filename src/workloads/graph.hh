@@ -11,6 +11,7 @@
 #ifndef PACT_WORKLOADS_GRAPH_HH
 #define PACT_WORKLOADS_GRAPH_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,6 +40,16 @@ struct CsrGraph
     std::uint64_t degree(std::uint32_t v) const
     {
         return offsets[v + 1] - offsets[v];
+    }
+
+    /** Length of the longest row (O(V)). */
+    std::uint64_t
+    maxDegree() const
+    {
+        std::uint64_t d = 0;
+        for (std::uint32_t v = 0; v < numVertices; v++)
+            d = std::max(d, degree(v));
+        return d;
     }
 
     /** Simulated address of offsets[v]. */

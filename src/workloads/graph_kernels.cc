@@ -39,6 +39,32 @@ full(const Trace &t, const KernelLimits &lim)
     return t.size() >= lim.maxOps;
 }
 
+/**
+ * Reserve a kernel's whole trace up front, so that recording never
+ * reallocates (a reallocation keeps both copies resident). Three parts:
+ * - the budget, or the kernel's own estimate @p ops when smaller;
+ * - the overshoot: full() is checked once per vertex, so the last
+ *   vertex emits its whole row past the budget. That is at most
+ *   @p per_edge ops plus one line load per edge, and a few ops per
+ *   vertex;
+ * - the init pass prependInitPass() later puts in front: one store
+ *   per page of every object @p proc has allocated, so call this after
+ *   the kernel's own allocations.
+ */
+void
+reserveTrace(Trace &t, const AddrSpace &as, ProcId proc,
+             const CsrGraph &g, const KernelLimits &lim, std::uint64_t ops,
+             std::uint64_t per_edge)
+{
+    std::uint64_t initPages = 0;
+    for (const ObjectInfo &obj : as.objects()) {
+        if (obj.proc == proc)
+            initPages += obj.pages();
+    }
+    t.ops.reserve(std::min(lim.maxOps, ops) +
+                  (per_edge + 1) * g.maxDegree() + 8 + initPages);
+}
+
 } // namespace
 
 Trace
@@ -48,12 +74,12 @@ bfsTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t source,
     Trace t;
     t.name = "bfs";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 4 * g.numEdges));
 
     const Addr depthAddr =
         as.alloc(proc, "bfs.depth", 4ull * g.numVertices, thp);
     const Addr queueAddr =
         as.alloc(proc, "bfs.queue", 4ull * g.numVertices, thp);
+    reserveTrace(t, as, proc, g, lim, 4 * g.numEdges, 3);
 
     std::vector<std::uint32_t> depth(g.numVertices, Unset);
     std::vector<std::uint32_t> queue;
@@ -92,7 +118,6 @@ bcTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t num_sources,
     Trace t;
     t.name = "bc";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 6 * g.numEdges));
 
     const std::uint64_t vbytes = 4ull * g.numVertices;
     const Addr depthAddr = as.alloc(proc, "bc.depth", vbytes, thp);
@@ -100,6 +125,7 @@ bcTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t num_sources,
     const Addr deltaAddr = as.alloc(proc, "bc.delta", vbytes, thp);
     const Addr queueAddr = as.alloc(proc, "bc.queue", vbytes, thp);
     const Addr scoreAddr = as.alloc(proc, "bc.scores", vbytes, thp);
+    reserveTrace(t, as, proc, g, lim, 6 * g.numEdges, 5);
 
     std::vector<std::uint32_t> depth(g.numVertices);
     std::vector<double> sigma(g.numVertices);
@@ -184,12 +210,12 @@ ssspTrace(AddrSpace &as, ProcId proc, CsrGraph &g, std::uint32_t source,
     Trace t;
     t.name = "sssp";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 6 * g.numEdges));
 
     const Addr distAddr =
         as.alloc(proc, "sssp.dist", 4ull * g.numVertices, thp);
     const Addr queueAddr =
         as.alloc(proc, "sssp.queue", 4ull * g.numVertices, thp);
+    reserveTrace(t, as, proc, g, lim, 6 * g.numEdges, 3);
 
     constexpr std::uint32_t Inf = std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint32_t> dist(g.numVertices, Inf);
@@ -236,12 +262,15 @@ Trace
 tcTrace(AddrSpace &as, ProcId proc, CsrGraph &g, const KernelLimits &lim,
         bool thp, std::uint64_t *triangles_out)
 {
-    (void)as;
     (void)thp;
     Trace t;
     t.name = "tc";
     t.proc = proc;
-    t.ops.reserve(lim.maxOps / 2);
+    // Each edge (u, v) with v > u costs at most two loads plus a merge
+    // over both rows, and the budget is checked once per such edge.
+    reserveTrace(t, as, proc, g, lim,
+                 g.numVertices + g.numEdges / 2 * (2 + 2 * g.maxDegree()),
+                 2);
 
     // GAPBS sorts adjacency lists and counts u < v < w triangles by
     // merge-intersection; the graph arrays themselves are the
@@ -297,12 +326,12 @@ prTrace(AddrSpace &as, ProcId proc, CsrGraph &g,
     Trace t;
     t.name = "pr";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(
-        lim.maxOps, iterations * (g.numEdges + 2 * g.numVertices)));
 
     const std::uint64_t vbytes = 4ull * g.numVertices;
     const Addr rankAddr = as.alloc(proc, "pr.rank", vbytes, thp);
     const Addr nextAddr = as.alloc(proc, "pr.next", vbytes, thp);
+    reserveTrace(t, as, proc, g, lim,
+                 iterations * (g.numEdges + 2 * g.numVertices), 1);
 
     std::vector<double> rank(g.numVertices,
                              1.0 / static_cast<double>(g.numVertices));
@@ -345,10 +374,10 @@ ccTrace(AddrSpace &as, ProcId proc, CsrGraph &g, const KernelLimits &lim,
     Trace t;
     t.name = "cc";
     t.proc = proc;
-    t.ops.reserve(std::min<std::uint64_t>(lim.maxOps, 4 * g.numEdges));
 
     const Addr labelAddr =
         as.alloc(proc, "cc.labels", 4ull * g.numVertices, thp);
+    reserveTrace(t, as, proc, g, lim, 4 * g.numEdges, 1);
 
     std::vector<std::uint32_t> label(g.numVertices);
     for (std::uint32_t v = 0; v < g.numVertices; v++)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <queue>
 #include <set>
 
@@ -61,7 +62,158 @@ refBfs(const CsrGraph &g, std::uint32_t src)
     return depth;
 }
 
+/** Restore an environment variable on scope exit. */
+class EnvGuard
+{
+  public:
+    explicit EnvGuard(const char *name) : name_(name)
+    {
+        if (const char *v = std::getenv(name))
+            saved_ = v;
+        else
+            unset_ = true;
+    }
+    ~EnvGuard()
+    {
+        if (unset_)
+            unsetenv(name_);
+        else
+            setenv(name_, saved_.c_str(), 1);
+    }
+
+    EnvGuard(const EnvGuard &) = delete;
+    EnvGuard &operator=(const EnvGuard &) = delete;
+
+  private:
+    const char *name_;
+    std::string saved_;
+    bool unset_ = false;
+};
+
+/**
+ * Reference graph builder: the original sort-based construction. Both
+ * directions of every edge go into one pair list, drawn serially from
+ * the same 64K-edge chunk streams the generators use. The list is then
+ * sorted and deduplicated, self-loops are skipped, and one weight is
+ * drawn per kept edge in CSR order. The generators must emit the same
+ * CSR and leave the caller's rng in the same state.
+ */
+template <typename GenOne>
+CsrGraph
+refBuild(std::uint32_t scale, std::uint32_t edge_factor, Rng &rng,
+         GenOne genOne)
+{
+    constexpr std::uint64_t kChunk = 1ull << 16;
+    const std::uint32_t n = 1u << scale;
+    const std::uint64_t m = static_cast<std::uint64_t>(n) * edge_factor;
+    const std::uint64_t streamSeed = rng.next();
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    for (std::uint64_t c = 0; c * kChunk < m; c++) {
+        Rng crng(rngStream(streamSeed, c));
+        for (std::uint64_t e = c * kChunk; e < std::min(m, (c + 1) * kChunk);
+             e++) {
+            const auto [u, v] = genOne(crng);
+            edges.push_back({u, v});
+            edges.push_back({v, u});
+        }
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+    CsrGraph g;
+    g.numVertices = n;
+    g.offsets.assign(n + 1, 0);
+    for (const auto &[u, v] : edges) {
+        if (u != v) {
+            g.offsets[u + 1]++;
+            g.neighbors.push_back(v);
+            g.weights.push_back(
+                static_cast<std::uint8_t>(1 + rng.below(255)));
+        }
+    }
+    for (std::uint32_t v = 0; v < n; v++)
+        g.offsets[v + 1] += g.offsets[v];
+    g.numEdges = g.offsets[n];
+    return g;
+}
+
+CsrGraph
+refRmat(std::uint32_t scale, std::uint32_t edge_factor, const RmatParams &p,
+        Rng &rng)
+{
+    return refBuild(scale, edge_factor, rng, [&](Rng &crng) {
+        std::uint32_t u = 0, v = 0;
+        for (std::uint32_t bit = 0; bit < scale; bit++) {
+            const double r = crng.uniform();
+            std::uint32_t ub = 0, vb = 0;
+            if (r < p.a) {
+                // top-left
+            } else if (r < p.a + p.b) {
+                vb = 1;
+            } else if (r < p.a + p.b + p.c) {
+                ub = 1;
+            } else {
+                ub = 1;
+                vb = 1;
+            }
+            u = (u << 1) | ub;
+            v = (v << 1) | vb;
+        }
+        return std::pair<std::uint32_t, std::uint32_t>{u, v};
+    });
+}
+
+CsrGraph
+refUniform(std::uint32_t scale, std::uint32_t edge_factor, Rng &rng)
+{
+    const std::uint32_t n = 1u << scale;
+    return refBuild(scale, edge_factor, rng, [n](Rng &crng) {
+        const auto u = static_cast<std::uint32_t>(crng.below(n));
+        const auto v = static_cast<std::uint32_t>(crng.below(n));
+        return std::pair<std::uint32_t, std::uint32_t>{u, v};
+    });
+}
+
 } // namespace
+
+TEST(GraphGen, CsrMatchesSortedReference)
+{
+    const EnvGuard guard("PACT_JOBS");
+    RmatParams twitter;
+    twitter.a = 0.65;
+    twitter.b = 0.15;
+    twitter.c = 0.15;
+    for (const char *jobs : {"1", "4"}) {
+        setenv("PACT_JOBS", jobs, 1);
+        for (std::uint32_t scale : {1u, 3u, 10u, 14u}) {
+            for (std::uint64_t seed : {1u, 7u, 42u}) {
+                for (int kind = 0; kind < 3; kind++) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "jobs " << jobs << " scale " << scale
+                                 << " seed " << seed << " kind " << kind);
+                    Rng rng(seed), refRng(seed);
+                    CsrGraph got, want;
+                    if (kind == 0) {
+                        got = buildRmat(scale, 12, {}, rng);
+                        want = refRmat(scale, 12, {}, refRng);
+                    } else if (kind == 1) {
+                        got = buildUniform(scale, 12, rng);
+                        want = refUniform(scale, 12, refRng);
+                    } else {
+                        got = buildTwitterLike(scale, 16, rng);
+                        want = refRmat(scale, 16, twitter, refRng);
+                    }
+                    ASSERT_EQ(got.numVertices, want.numVertices);
+                    ASSERT_EQ(got.numEdges, want.numEdges);
+                    ASSERT_EQ(got.offsets, want.offsets);
+                    ASSERT_EQ(got.neighbors, want.neighbors);
+                    ASSERT_EQ(got.weights, want.weights);
+                    ASSERT_EQ(rng.next(), refRng.next());
+                }
+            }
+        }
+    }
+}
 
 TEST(GraphGen, RmatProducesValidCsr)
 {
@@ -85,13 +237,7 @@ TEST(GraphGen, RmatIsMoreSkewedThanUniform)
     const CsrGraph kron = buildTwitterLike(12, 8, rng);
     Rng rng2(3);
     const CsrGraph urand = buildUniform(12, 8, rng2);
-    auto maxDeg = [](const CsrGraph &g) {
-        std::uint64_t m = 0;
-        for (std::uint32_t v = 0; v < g.numVertices; v++)
-            m = std::max(m, g.degree(v));
-        return m;
-    };
-    EXPECT_GT(maxDeg(kron), 3 * maxDeg(urand));
+    EXPECT_GT(kron.maxDegree(), 3 * urand.maxDegree());
 }
 
 TEST(GraphGen, UndirectedSymmetry)
@@ -219,10 +365,7 @@ TEST(GraphKernels, MaxOpsBoundsTrace)
     const Trace t = bcTrace(as, 0, g, 4, lim, false);
     // Emission stops at vertex granularity, so the trace can overshoot
     // by one vertex's worth of work (bounded by the max degree).
-    std::uint64_t maxDeg = 0;
-    for (std::uint32_t v = 0; v < g.numVertices; v++)
-        maxDeg = std::max(maxDeg, g.degree(v));
-    EXPECT_LE(t.size(), lim.maxOps + 8 * maxDeg + 64);
+    EXPECT_LE(t.size(), lim.maxOps + 8 * g.maxDegree() + 64);
 }
 
 TEST(Masim, ChaseCycleCoversAllSlots)
@@ -447,6 +590,50 @@ TEST(TierManagerHuge, CountsHugeMappings)
     tm.touch(0, 0, true);
     EXPECT_TRUE(tm.hugeInUse());
     EXPECT_EQ(tm.hugePages(), PagesPerHugePage);
+}
+
+TEST(GraphKernels, TraceReservationCoversOvershootAndInitPass)
+{
+    // A binding budget: each kernel overshoots it by part of its last
+    // row, and the init pass is prepended afterwards. Neither may
+    // reallocate the trace (a doubling would exceed 2x the budget).
+    for (int kernel = 0; kernel < 6; kernel++) {
+        SCOPED_TRACE(kernel);
+        Rng rng(18);
+        CsrGraph g = buildRmat(10, 8, {}, rng);
+        WorkloadBundle b;
+        allocGraph(b.as, 0, "g", g, false, kernel == 2);
+        KernelLimits lim;
+        lim.maxOps = 10000;
+        switch (kernel) {
+          case 0:
+            b.traces.push_back(bfsTrace(b.as, 0, g, 0, lim, false));
+            break;
+          case 1:
+            b.traces.push_back(bcTrace(b.as, 0, g, 3, lim, false));
+            break;
+          case 2:
+            b.traces.push_back(ssspTrace(b.as, 0, g, 0, lim, false));
+            break;
+          case 3:
+            b.traces.push_back(ccTrace(b.as, 0, g, lim, false));
+            break;
+          case 4:
+            b.traces.push_back(prTrace(b.as, 0, g, 4, lim, false));
+            break;
+          default:
+            b.traces.push_back(tcTrace(b.as, 0, g, lim, false));
+            break;
+        }
+        const TraceOpSpan &ops = b.traces[0].ops;
+        ASSERT_GE(ops.size(), lim.maxOps);
+        EXPECT_LT(ops.capacity(), 2 * lim.maxOps);
+        const TraceOp *data = ops.data();
+        const std::size_t capacity = ops.capacity();
+        prependInitPass(b);
+        EXPECT_EQ(ops.data(), data);
+        EXPECT_EQ(ops.capacity(), capacity);
+    }
 }
 
 TEST(GraphKernels, TriangleCountMatchesBruteForce)
