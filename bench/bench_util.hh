@@ -21,11 +21,10 @@
 namespace pact
 {
 
-/** Standard bench preamble: quiet logs, banner, scale report. */
+/** Standard bench preamble: banner, scale report. */
 inline double
 benchSetup(const std::string &title, double default_scale = 1.0)
 {
-    setLogQuiet(true);
     const double scale = envScale(default_scale);
     std::printf("==============================================\n");
     std::printf("%s\n", title.c_str());

@@ -123,7 +123,6 @@ fnv1a(std::uint64_t h, const std::string &s)
 int
 main(int argc, char **argv)
 {
-    setLogQuiet(true);
     std::uint64_t schedules = 60;
     std::uint64_t seed = 42;
     double share = 0.5;

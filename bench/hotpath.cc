@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/logging.hh"
 #include "harness/runner.hh"
 #include "policies/registry.hh"
 #include "sim/engine.hh"
@@ -50,7 +49,6 @@ void
 engineRun(benchmark::State &state, const char *workload,
           const char *policy_name, Tenancy tenancy, std::uint64_t period)
 {
-    setLogQuiet(true);
     WorkloadOptions opt;
     opt.scale = envScale(0.5);
     const auto bundle = makeWorkloadShared(workload, opt);

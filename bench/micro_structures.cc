@@ -14,7 +14,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "harness/runner.hh"
 #include "mem/addr_space.hh"
@@ -524,7 +523,6 @@ BENCHMARK(BM_RegistrySample)->Arg(48);
 static void
 BM_WorkloadGenCold(benchmark::State &state)
 {
-    setLogQuiet(true);
     WorkloadOptions opt;
     opt.scale = envScale(1.0);
     std::uint64_t ops = 0;
@@ -542,7 +540,6 @@ BENCHMARK(BM_WorkloadGenCold)->Unit(benchmark::kMillisecond);
 static void
 BM_WorkloadGenWarm(benchmark::State &state)
 {
-    setLogQuiet(true);
     WorkloadOptions opt;
     opt.scale = envScale(1.0);
     const std::string dir =

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/runner.hh"
 #include "workloads/registry.hh"
@@ -20,7 +19,6 @@ using namespace pact;
 int
 main()
 {
-    setLogQuiet(true);
     std::printf("Colocation: streaming tenant vs pointer-chasing "
                 "tenant, fast tier = 1/2 footprint\n");
 

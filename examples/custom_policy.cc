@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <deque>
 
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/runner.hh"
 #include "mem/lru.hh"
@@ -65,7 +64,6 @@ class RecencyPolicy : public TieringPolicy
 int
 main()
 {
-    setLogQuiet(true);
     std::printf("Custom-policy walkthrough: a recency promoter built "
                 "on the public API, vs PACT (1:4)\n");
 

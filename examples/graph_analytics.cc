@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/sweep.hh"
 #include "workloads/registry.hh"
@@ -18,7 +17,6 @@ using namespace pact;
 int
 main()
 {
-    setLogQuiet(true);
     std::printf("Graph analytics (bc-kron) across fast-tier ratios\n");
 
     WorkloadOptions opt;

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "harness/runner.hh"
@@ -45,7 +44,6 @@ reportService(Table &t, const char *label, const RunResult &r)
 int
 main()
 {
-    setLogQuiet(true);
     std::printf("KV-server tiering: Redis-style zipfian GETs at a "
                 "1:1 tier split\n");
 

@@ -463,7 +463,6 @@ parsePage(const char *s)
 int
 inspectMain(int argc, char **argv)
 {
-    setLogQuiet(true);
     if (argc < 2) {
         usage();
         return 1;

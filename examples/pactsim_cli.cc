@@ -155,21 +155,6 @@ report(const RunResult &r)
     tt.print();
 }
 
-/**
- * A run cut short at maxWallCycles changes what every number means, so
- * it is reported on stderr whatever the log setting.
- */
-void
-warnIfTruncated(const RunResult &r, const SimConfig &cfg)
-{
-    if (r.stats.completed)
-        return;
-    std::fprintf(stderr,
-                 "warning: run truncated at maxWallCycles (%llu cycles); "
-                 "results are incomplete\n",
-                 static_cast<unsigned long long>(cfg.maxWallCycles));
-}
-
 /** Split a comma-separated list, skipping empty fields. */
 std::vector<std::string>
 splitCsv(const std::string &csv)
@@ -186,7 +171,6 @@ splitCsv(const std::string &csv)
 int
 cliMain(int argc, char **argv)
 {
-    setLogQuiet(true);
     std::string workload = "bc-kron";
     std::string policy = "PACT";
     int fast = 1, slow = 1;
@@ -363,7 +347,6 @@ cliMain(int argc, char **argv)
         for (const RunOutcome &o : outcomes) {
             if (o.ok) {
                 const RunResult &r = o.result;
-                warnIfTruncated(r, cfg);
                 t.row().cell(r.policy);
                 if (r.stats.completed)
                     t.cell(r.slowdownPct, 1);
@@ -415,7 +398,6 @@ cliMain(int argc, char **argv)
         tenantsMode ? runner.runTenants(*bundle, policy, share, &observers)
                     : runner.run(*bundle, policy, share, &observers);
     report(r);
-    warnIfTruncated(r, cfg);
     std::vector<obs::ManifestResult> results = {manifestResult(r)};
     results.back().fastShare = share;
 

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <string>
 
-#include "common/logging.hh"
 #include "harness/runner.hh"
 #include "pact/pact_policy.hh"
 #include "workloads/registry.hh"
@@ -20,7 +19,6 @@ using namespace pact;
 int
 main(int argc, char **argv)
 {
-    setLogQuiet(true);
     const std::string workload = argc > 1 ? argv[1] : "bc-kron";
     int fast = 1, slow = 1;
     if (argc > 2)

@@ -25,8 +25,13 @@ if ! ${CXX:-c++} -fsanitize=thread "$probe/t.cc" -o "$probe/t" \
 fi
 
 cmake -B "$build" -S "$repo" -DPACT_SANITIZE=thread
-cmake --build "$build" -j --target test_pool test_harness test_txn \
-    test_trace_store test_multicore
+cmake --build "$build" -j --target test_logging test_pool test_harness \
+    test_txn test_trace_store test_multicore
+
+# Concurrent tagged warn()s share one mutex-guarded stderr path. The
+# LoggingDeath cases fork, which TSan reports on its own; skip them.
+TSAN_OPTIONS="halt_on_error=1" "$build/tests/test_logging" \
+    --gtest_filter='Logging.*'
 
 # The pool tests force multi-threaded schedules themselves; PACT_JOBS=4
 # additionally routes every default-jobs code path through the pool.

@@ -14,7 +14,8 @@
  *  - TimeoutError   a run exceeded PACT_RUN_TIMEOUT_MS wall time
  *
  * panic() remains the right tool for internal simulator bugs (abort);
- * fatal() remains for top-level CLI argument handling (exit).
+ * fatal() is only for the drivers' command-line argument handling
+ * (exit): no library code under src/ calls it.
  */
 
 #ifndef PACT_COMMON_ERROR_HH

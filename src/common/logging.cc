@@ -1,6 +1,5 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -10,8 +9,6 @@ namespace pact
 
 namespace
 {
-
-std::atomic<bool> quietFlag{false};
 
 /** Serializes message emission across threads (line atomicity). */
 std::mutex &
@@ -23,45 +20,24 @@ logMutex()
 
 thread_local std::string threadTag;
 
-/** "[tag] " prefix for the calling thread, or "". */
-std::string
-prefix()
+/** Print "<kind>: [tag] msg" as one line under the log mutex. */
+void
+emit(const char *kind, const std::string &msg)
 {
-    return threadTag.empty() ? std::string() : "[" + threadTag + "] ";
+    const std::string tag =
+        threadTag.empty() ? std::string() : "[" + threadTag + "] ";
+    std::lock_guard<std::mutex> lock(logMutex());
+    std::fprintf(stderr, "%s: %s%s\n", kind, tag.c_str(), msg.c_str());
 }
 
-/** Dedup state for consecutive identical warn() lines. All guarded by
- *  logMutex(); the total is atomic so tests can read it lock-free. */
-std::string lastWarnLine;
-std::uint64_t pendingWarnRepeats = 0;
-std::atomic<std::uint64_t> warnSuppressedTotal{0};
-
-/** Emit the pending "repeated N×" summary (logMutex must be held). */
-void
-flushWarnRepeatsLocked()
+/** msg followed by " (file:line)", for panic/fatal. */
+std::string
+located(const char *file, int line, const std::string &msg)
 {
-    if (pendingWarnRepeats == 0)
-        return;
-    std::fprintf(stderr,
-                 "warn: last message repeated %llu more time%s\n",
-                 static_cast<unsigned long long>(pendingWarnRepeats),
-                 pendingWarnRepeats == 1 ? "" : "s");
-    pendingWarnRepeats = 0;
+    return msg + " (" + file + ":" + std::to_string(line) + ")";
 }
 
 } // namespace
-
-bool
-logQuiet()
-{
-    return quietFlag.load(std::memory_order_relaxed);
-}
-
-void
-setLogQuiet(bool quiet)
-{
-    quietFlag.store(quiet, std::memory_order_relaxed);
-}
 
 void
 setLogTag(const std::string &tag)
@@ -75,75 +51,27 @@ logTag()
     return threadTag;
 }
 
-std::uint64_t
-warnSuppressed()
-{
-    return warnSuppressedTotal.load(std::memory_order_relaxed);
-}
-
-void
-flushWarnRepeats()
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    flushWarnRepeatsLocked();
-    lastWarnLine.clear();
-}
-
 namespace detail
 {
 
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
-    {
-        std::lock_guard<std::mutex> lock(logMutex());
-        flushWarnRepeatsLocked();
-        std::fprintf(stderr, "panic: %s%s (%s:%d)\n", prefix().c_str(),
-                     msg.c_str(), file, line);
-    }
+    emit("panic", located(file, line, msg));
     std::abort();
 }
 
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    {
-        std::lock_guard<std::mutex> lock(logMutex());
-        flushWarnRepeatsLocked();
-        std::fprintf(stderr, "fatal: %s%s (%s:%d)\n", prefix().c_str(),
-                     msg.c_str(), file, line);
-    }
+    emit("fatal", located(file, line, msg));
     std::exit(1);
 }
 
 void
 warnImpl(const std::string &msg)
 {
-    if (logQuiet())
-        return;
-    const std::string line = prefix() + msg;
-    std::lock_guard<std::mutex> lock(logMutex());
-    if (line == lastWarnLine) {
-        pendingWarnRepeats++;
-        warnSuppressedTotal.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    flushWarnRepeatsLocked();
-    lastWarnLine = line;
-    std::fprintf(stderr, "warn: %s\n", line.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (logQuiet())
-        return;
-    std::lock_guard<std::mutex> lock(logMutex());
-    // Keep the "repeated N×" summary adjacent to its message even
-    // when an inform() interleaves.
-    flushWarnRepeatsLocked();
-    lastWarnLine.clear();
-    std::fprintf(stderr, "info: %s%s\n", prefix().c_str(), msg.c_str());
+    emit("warn", msg);
 }
 
 } // namespace detail

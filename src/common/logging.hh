@@ -2,13 +2,13 @@
  * @file
  * gem5-style status/error reporting: panic() for internal invariant
  * violations (aborts), fatal() for user/configuration errors (exits),
- * warn()/inform() for non-fatal diagnostics.
+ * warn() for non-fatal diagnostics. Every message prints to stderr:
+ * there is no switch that hides a warning.
  */
 
 #ifndef PACT_COMMON_LOGGING_HH
 #define PACT_COMMON_LOGGING_HH
 
-#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -38,7 +38,6 @@ formatInto(std::ostringstream &os, const T &head, const Rest &...rest)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Build a message string from a variadic argument pack. */
 template <typename... Args>
@@ -52,14 +51,8 @@ buildMessage(const Args &...args)
 
 } // namespace detail
 
-/** True when warn()/inform() output is suppressed (quiet test runs). */
-bool logQuiet();
-
-/** Suppress or re-enable warn()/inform() output. */
-void setLogQuiet(bool quiet);
-
 /**
- * Tag every warn()/inform() from the calling thread with "[tag] " —
+ * Tag every message from the calling thread with "[tag] " —
  * typically a run or worker label, so messages from concurrent runs
  * (PACT_JOBS > 1) stay attributable. Empty string clears the tag.
  * The tag is thread-local; emission itself is serialized by a mutex,
@@ -69,24 +62,6 @@ void setLogTag(const std::string &tag);
 
 /** The calling thread's current log tag (empty when unset). */
 const std::string &logTag();
-
-/**
- * Total warn() lines suppressed as consecutive duplicates. A warn()
- * identical to the immediately preceding one (tag included) is not
- * re-printed; when a different message finally arrives, a single
- * "last message repeated N more times" summary is emitted in its
- * place. This keeps a per-window warning inside a million-window run
- * from scrolling everything else away.
- */
-std::uint64_t warnSuppressed();
-
-/**
- * Emit any pending "repeated N×" summary now and forget the last
- * message, so the next warn() always prints. Call between logical
- * phases (end of a run) or before inspecting warnSuppressed() deltas
- * in tests.
- */
-void flushWarnRepeats();
 
 } // namespace pact
 
@@ -109,10 +84,6 @@ void flushWarnRepeats();
 /** Report a suspicious but survivable condition. */
 #define warn(...)                                                           \
     ::pact::detail::warnImpl(::pact::detail::buildMessage(__VA_ARGS__))
-
-/** Report an informational status message. */
-#define inform(...)                                                         \
-    ::pact::detail::informImpl(::pact::detail::buildMessage(__VA_ARGS__))
 
 /** panic() when a required invariant does not hold. */
 #define panic_if(cond, ...)                                                 \

@@ -29,7 +29,7 @@ ThreadPool::ThreadPool(unsigned workers)
         workers = envJobs();
     threads_.reserve(workers);
     for (unsigned i = 0; i < workers; i++) {
-        // Tag each worker's log output so warn()/inform() lines from
+        // Tag each worker's log output so warn() lines from
         // concurrent runs stay attributable.
         threads_.emplace_back([this, i] {
             setLogTag("w" + std::to_string(i));

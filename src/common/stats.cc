@@ -93,32 +93,6 @@ fitSlopeThroughOrigin(const std::vector<double> &xs,
     return sxx == 0.0 ? 0.0 : sxy / sxx;
 }
 
-LinearFit
-linearFit(const std::vector<double> &xs, const std::vector<double> &ys)
-{
-    panic_if(xs.size() != ys.size(), "fit: size mismatch");
-    LinearFit fit;
-    const std::size_t n = xs.size();
-    if (n < 2)
-        return fit;
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0, sxx = 0.0, syy = 0.0;
-    for (std::size_t i = 0; i < n; i++) {
-        const double dx = xs[i] - mx;
-        const double dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if (sxx == 0.0)
-        return fit;
-    fit.slope = sxy / sxx;
-    fit.intercept = my - fit.slope * mx;
-    fit.r2 = syy == 0.0 ? 1.0 : (sxy * sxy) / (sxx * syy);
-    return fit;
-}
-
 FiveNum
 fiveNumber(std::vector<double> xs)
 {
@@ -133,73 +107,6 @@ fiveNumber(std::vector<double> xs)
     f.max = xs.back();
     f.count = xs.size();
     return f;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0)
-{
-    fatal_if(bins == 0 || hi <= lo, "Histogram: invalid range/bins");
-}
-
-void
-Histogram::add(double x)
-{
-    double pos = (x - lo_) / width_;
-    std::size_t idx;
-    if (pos < 0.0) {
-        idx = 0;
-    } else {
-        idx = static_cast<std::size_t>(pos);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-    }
-    counts_[idx]++;
-    total_++;
-}
-
-double
-Histogram::edge(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-std::vector<std::pair<double, double>>
-ecdf(std::vector<double> xs)
-{
-    std::vector<std::pair<double, double>> out;
-    if (xs.empty())
-        return out;
-    std::sort(xs.begin(), xs.end());
-    const double n = static_cast<double>(xs.size());
-    out.reserve(xs.size());
-    for (std::size_t i = 0; i < xs.size(); i++)
-        out.emplace_back(xs[i], static_cast<double>(i + 1) / n);
-    return out;
-}
-
-void
-StreamQuantiles::add(double x, std::uint64_t &rngState)
-{
-    seen_++;
-    if (buf_.size() < cap_) {
-        buf_.push_back(x);
-        return;
-    }
-    // xorshift64 replacement draw: keep each element with prob cap/seen.
-    rngState ^= rngState << 13;
-    rngState ^= rngState >> 7;
-    rngState ^= rngState << 17;
-    const std::uint64_t slot = rngState % seen_;
-    if (slot < cap_)
-        buf_[slot] = x;
-}
-
-double
-StreamQuantiles::quantile(double q) const
-{
-    std::vector<double> copy = buf_;
-    std::sort(copy.begin(), copy.end());
-    return quantileSorted(copy, q);
 }
 
 } // namespace stats

@@ -1,8 +1,8 @@
 /**
  * @file
  * Statistics helpers used by the evaluation harness: moments, quantiles,
- * Pearson correlation, least-squares fits, histograms, CDFs, and the
- * five-number summaries behind the paper's violin plots.
+ * Pearson correlation, a least-squares slope, and the five-number
+ * summaries behind the paper's violin plots.
  */
 
 #ifndef PACT_COMMON_STATS_HH
@@ -43,18 +43,6 @@ double pearson(const std::vector<double> &xs, const std::vector<double> &ys);
 double fitSlopeThroughOrigin(const std::vector<double> &xs,
                              const std::vector<double> &ys);
 
-/** Result of an ordinary least-squares linear fit y = a + b*x. */
-struct LinearFit
-{
-    double intercept = 0.0;
-    double slope = 0.0;
-    double r2 = 0.0;
-};
-
-/** Ordinary least-squares linear fit. */
-LinearFit linearFit(const std::vector<double> &xs,
-                    const std::vector<double> &ys);
-
 /**
  * Five-number summary (min, Q1, median, Q3, max) — the statistics a
  * violin plot's overlay lines report in the paper's Figure 1.
@@ -71,78 +59,6 @@ struct FiveNum
 
 /** Compute the five-number summary of xs. */
 FiveNum fiveNumber(std::vector<double> xs);
-
-/**
- * Fixed-bin histogram over [lo, hi) with uniform bin width.
- * Out-of-range samples clamp into the first/last bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    /** Count in bin i. */
-    std::uint64_t count(std::size_t i) const { return counts_[i]; }
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t total() const { return total_; }
-    /** Left edge of bin i. */
-    double edge(std::size_t i) const;
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
-/**
- * Empirical CDF points (x, F(x)) at each distinct sample, suitable for
- * printing the paper's Figure 7 CDFs.
- */
-std::vector<std::pair<double, double>> ecdf(std::vector<double> xs);
-
-/** Exponentially weighted moving average. */
-class Ewma
-{
-  public:
-    explicit Ewma(double alpha) : alpha_(alpha) {}
-
-    void
-    add(double x)
-    {
-        value_ = seeded_ ? alpha_ * x + (1.0 - alpha_) * value_ : x;
-        seeded_ = true;
-    }
-
-    double value() const { return value_; }
-    bool seeded() const { return seeded_; }
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool seeded_ = false;
-};
-
-/**
- * Streaming reservoir of at most k doubles for order-statistics over an
- * unbounded stream (exact when the stream fits).
- */
-class StreamQuantiles
-{
-  public:
-    explicit StreamQuantiles(std::size_t cap = 1u << 16) : cap_(cap) {}
-
-    void add(double x, std::uint64_t &rngState);
-    double quantile(double q) const;
-    std::size_t size() const { return buf_.size(); }
-    std::uint64_t seen() const { return seen_; }
-
-  private:
-    std::size_t cap_;
-    std::vector<double> buf_;
-    std::uint64_t seen_ = 0;
-};
 
 } // namespace stats
 

@@ -11,7 +11,7 @@ namespace pact
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers))
 {
-    fatal_if(headers_.empty(), "Table: need at least one column");
+    panic_if(headers_.empty(), "Table: need at least one column");
 }
 
 Table &

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -60,6 +61,9 @@ Runner::baselineRun(const WorkloadBundle &bundle)
         try {
             SimConfig cfg = cfg_;
             cfg.fastCapacityPages = bundle.rssPages() + 1024;
+            // Every slowdown divides by this all-DRAM run, which cannot
+            // thrash: the cap that bounds tiered runs does not apply.
+            cfg.maxWallCycles = std::numeric_limits<Cycles>::max();
             auto policy = makePolicy("NoTier");
             Engine engine(cfg, bundle.as, &bundle.traces, policy.get());
             engine.recordLlcOutcomes();

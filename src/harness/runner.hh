@@ -105,6 +105,8 @@ class Runner
      * single-trace bundle's baseline run also records its LLC outcome
      * stream, cached beside the runtimes, which every later run of
      * the bundle replays instead of probing the LLC (DESIGN.md §6).
+     * The baseline always runs to completion: SimConfig::maxWallCycles
+     * caps only the runs measured against it.
      */
     const std::vector<Cycles> &baseline(const WorkloadBundle &bundle);
 

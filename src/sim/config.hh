@@ -46,9 +46,6 @@ struct TierParams
     double serviceCycles = bwToServiceCycles(52);
 };
 
-/** The slow-tier technology being emulated. */
-enum class SlowTierKind { Numa, Cxl };
-
 /** TierParams presets matching the paper's three configurations. */
 TierParams inline
 dramTierParams()
@@ -170,14 +167,6 @@ struct SimConfig
      * enabled by PACT_AUDIT=1). Throws InvariantError on violation.
      */
     bool audit = false;
-
-    /** Select the slow tier preset. */
-    void
-    setSlowTier(SlowTierKind kind)
-    {
-        slow = kind == SlowTierKind::Numa ? numaTierParams()
-                                          : cxlTierParams();
-    }
 
     /**
      * Check every field for simulability; throws ConfigError with a

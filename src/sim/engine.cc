@@ -593,12 +593,19 @@ Engine::runUntil(Cycles until)
         }
 
         if (now_ >= cfg_.maxWallCycles) {
-            warn("run exceeded maxWallCycles; cutting short");
             finished_ = true;
             truncated_ = !allPrimariesDone();
             for (auto &cpu : cpus_)
                 cpu->drainInflight();
             finishRun();
+            if (truncated_) {
+                // The run's one truncation report; a run whose last
+                // primary trace retired in this slice completed.
+                const RunStats rs = snapshot();
+                warn("run cut short at the maxWallCycles cap of ",
+                     rs.maxWallCycles, " cycles after retiring ",
+                     rs.primaryRetired, " of ", rs.primaryOps, " ops");
+            }
             return false;
         }
 

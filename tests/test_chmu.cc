@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "harness/runner.hh"
 #include "pact/pact_policy.hh"
 #include "sim/chmu.hh"
@@ -101,7 +100,6 @@ chaseBundle()
 
 TEST(ChmuIntegration, PactRunsOnChmuSamples)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = chaseBundle();
     Runner run;
     run.config().chmu.enabled = true;
@@ -117,12 +115,10 @@ TEST(ChmuIntegration, PactRunsOnChmuSamples)
     pol.table().forEach(
         [&](const PacEntry &e) { freqSum += e.freq; });
     EXPECT_GT(freqSum, r.stats.pebsEvents / 64);
-    setLogQuiet(false);
 }
 
 TEST(ChmuIntegration, ChmuComparableToPebs)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = chaseBundle();
     Runner run;
     run.config().chmu.enabled = true;
@@ -136,12 +132,10 @@ TEST(ChmuIntegration, ChmuComparableToPebs)
 
     // Same workload, same criticality structure: outcomes within 2x.
     EXPECT_LT(rc.slowdownPct, 2.0 * rp.slowdownPct + 20.0);
-    setLogQuiet(false);
 }
 
 TEST(ChmuIntegrationDeath, ChmuSamplerWithoutDeviceIsFatal)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = chaseBundle();
     Runner run; // chmu NOT enabled
     PactConfig cfg;

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "mem/addr_space.hh"
 #include "sim/engine.hh"
 
@@ -147,7 +146,6 @@ TEST(EngineDeath, AllLoopingIsFatal)
 
 TEST(Engine, MaxWallCyclesCutsRunShort)
 {
-    setLogQuiet(true);
     Env env(2000000, true);
     env.cfg.maxWallCycles = 2000000;
     Engine e(env.cfg, env.as, &env.traces, nullptr);
@@ -155,7 +153,6 @@ TEST(Engine, MaxWallCyclesCutsRunShort)
     EXPECT_LE(rs.wallCycles, env.cfg.maxWallCycles + env.cfg.slice);
     EXPECT_LT(rs.procRetired[0], env.traces[0].size());
     EXPECT_FALSE(rs.completed);
-    setLogQuiet(false);
 }
 
 TEST(Engine, DeterministicAcrossRuns)

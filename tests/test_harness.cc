@@ -13,7 +13,6 @@
 #include <string>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "harness/sweep.hh"
 #include "policies/registry.hh"
 #include "policies/soar.hh"
@@ -55,7 +54,6 @@ TEST(Runner, RatioShareMath)
 
 TEST(Runner, BaselineIsCachedPerBundle)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner run;
     const auto &b1 = run.baseline(b);
@@ -67,7 +65,6 @@ TEST(Runner, BaselineIsCachedPerBundle)
 
 TEST(Runner, AllFastShareIsNearBaseline)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner run;
     const RunResult r = run.run(b, "NoTier", 1.0);
@@ -76,7 +73,6 @@ TEST(Runner, AllFastShareIsNearBaseline)
 
 TEST(Runner, AllSlowShareIsSlower)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner run;
     const RunResult r = run.run(b, "NoTier", 0.0);
@@ -85,7 +81,6 @@ TEST(Runner, AllSlowShareIsSlower)
 
 TEST(Runner, SlowdownMonotoneInPressure)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner run;
     const double s1 = run.run(b, "NoTier", 0.8).slowdownPct;
@@ -97,7 +92,6 @@ TEST(Runner, SlowdownMonotoneInPressure)
 
 TEST(Runner, ResultCarriesIdentity)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner run;
     const RunResult r = run.run(b, "PACT", 0.5);
@@ -117,7 +111,6 @@ TEST(Sweep, PaperRatiosCoverEightToOneEighth)
 
 TEST(Sweep, RatioSweepShapesOutput)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner run;
     const auto grid =
@@ -142,7 +135,6 @@ TEST(Harness, EnvScaleParsesOverrides)
 
 TEST(Runner, SoarGetsProfiledAutomatically)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner run;
     const RunResult r = run.run(b, "Soar", 0.5);
@@ -155,7 +147,6 @@ TEST(Runner, SoarGetsProfiledAutomatically)
 
 TEST(Harness, SeedSweepReportsVariation)
 {
-    setLogQuiet(true);
     SimConfig cfg;
     WorkloadOptions opt;
     opt.scale = 0.1;
@@ -254,11 +245,7 @@ PrintTo(const ReplayCase &c, std::ostream *os)
     *os << c.workload << (c.thp ? " (THP)" : " (4 KB)");
 }
 
-class LlcReplay : public ::testing::TestWithParam<ReplayCase>
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-};
+using LlcReplay = ::testing::TestWithParam<ReplayCase>;
 
 } // namespace
 
@@ -305,7 +292,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LlcReplayEligibility, MultiCoreBundlesStayLive)
 {
-    setLogQuiet(true);
     for (bool loop : {false, true}) {
         SCOPED_TRACE(loop ? "primary + looping mlc" : "two primaries");
         const WorkloadBundle b = twoTraceBundle(loop);
@@ -327,7 +313,6 @@ TEST(LlcReplayEligibility, MultiCoreBundlesStayLive)
 
 TEST(LlcReplayEligibility, StreamOfOtherCacheParamsOrTraceIsIgnored)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner runner;
     const auto stream = runner.llcOutcomes(b);
@@ -352,7 +337,6 @@ TEST(LlcReplayEligibility, StreamOfOtherCacheParamsOrTraceIsIgnored)
 
 TEST(LlcReplayEligibility, TruncatedRunPublishesNoStream)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     SimConfig cfg;
     cfg.maxWallCycles = 100000;
@@ -365,7 +349,6 @@ TEST(LlcReplayEligibility, TruncatedRunPublishesNoStream)
 
 TEST(LlcReplayAudit, FlippedCodeThrowsUnderAudit)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     SimConfig cfg;
     const auto stream = recordStream(cfg, b);
@@ -401,7 +384,6 @@ TEST(LlcReplayAudit, FlippedCodeThrowsUnderAudit)
 
 TEST(LlcReplayAudit, StreamOfTheWrongLengthThrows)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     const SimConfig cfg;
     const auto stream = recordStream(cfg, b);

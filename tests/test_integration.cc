@@ -10,7 +10,6 @@
 
 #include <cmath>
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "harness/runner.hh"
 #include "pact/pact_policy.hh"
@@ -22,15 +21,6 @@ using namespace pact;
 
 namespace
 {
-
-class Quiet : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void TearDown() override { setLogQuiet(false); }
-};
-
-using Integration = Quiet;
 
 WorkloadBundle
 patternBundle(MasimPattern pat, std::uint64_t ops = 250000,
@@ -53,7 +43,7 @@ patternBundle(MasimPattern pat, std::uint64_t ops = 250000,
 
 } // namespace
 
-TEST_F(Integration, StallModelBeatsRawMissCount)
+TEST(Integration, StallModelBeatsRawMissCount)
 {
     // Mini Figure 2: across pattern/gap configs, k*misses/MLP
     // correlates with measured slow-tier stalls better than misses.
@@ -83,7 +73,7 @@ TEST_F(Integration, StallModelBeatsRawMissCount)
     EXPECT_GT(rModel, rMisses);
 }
 
-TEST_F(Integration, MlpSeparatesPatterns)
+TEST(Integration, MlpSeparatesPatterns)
 {
     Runner run;
     auto mlpOf = [&](MasimPattern pat) {
@@ -99,7 +89,7 @@ TEST_F(Integration, MlpSeparatesPatterns)
     EXPECT_GT(random, 8.0);
 }
 
-TEST_F(Integration, PactBeatsNoTierOnGraphWorkload)
+TEST(Integration, PactBeatsNoTierOnGraphWorkload)
 {
     const WorkloadBundle b =
         makeWorkload("bc-kron", {0.25, false, 42});
@@ -109,7 +99,7 @@ TEST_F(Integration, PactBeatsNoTierOnGraphWorkload)
     EXPECT_LT(pact.slowdownPct, none.slowdownPct);
 }
 
-TEST_F(Integration, PactBeatsFrequencyOnInversionWorkload)
+TEST(Integration, PactBeatsFrequencyOnInversionWorkload)
 {
     // The paper's §5.6 claim: at comparable migration volume,
     // criticality-first placement beats frequency-first when
@@ -122,7 +112,7 @@ TEST_F(Integration, PactBeatsFrequencyOnInversionWorkload)
     EXPECT_LT(pact.slowdownPct, freq.slowdownPct);
 }
 
-TEST_F(Integration, PactMigratesLessThanKernelPolicies)
+TEST(Integration, PactMigratesLessThanKernelPolicies)
 {
     const WorkloadBundle b =
         makeWorkload("bc-kron", {0.25, false, 42});
@@ -135,7 +125,7 @@ TEST_F(Integration, PactMigratesLessThanKernelPolicies)
               2 * colloid.stats.promotions() + 64);
 }
 
-TEST_F(Integration, ThpMigratesWholeHugeRegions)
+TEST(Integration, ThpMigratesWholeHugeRegions)
 {
     const WorkloadBundle b = makeWorkload("gups", {0.25, true, 42});
     Runner run;
@@ -150,7 +140,7 @@ TEST_F(Integration, ThpMigratesWholeHugeRegions)
     EXPECT_EQ(r.stats.procRetired[0], b.traces[0].size());
 }
 
-TEST_F(Integration, ColocationIsolatesPerProcessSlowdowns)
+TEST(Integration, ColocationIsolatesPerProcessSlowdowns)
 {
     const WorkloadBundle b =
         makeWorkload("masim-coloc", {0.25, false, 42});
@@ -162,7 +152,7 @@ TEST_F(Integration, ColocationIsolatesPerProcessSlowdowns)
     EXPECT_GT(r.stats.procRetired[1], 0u);
 }
 
-TEST_F(Integration, BandwidthContentionInflatesSlowdown)
+TEST(Integration, BandwidthContentionInflatesSlowdown)
 {
     // An MLC-style co-runner on the fast tier must hurt the primary
     // (Figure 11's mechanism).
@@ -186,7 +176,7 @@ TEST_F(Integration, BandwidthContentionInflatesSlowdown)
     EXPECT_GT(loud.runtime, base.runtime);
 }
 
-TEST_F(Integration, DeterministicEndToEnd)
+TEST(Integration, DeterministicEndToEnd)
 {
     auto once = [] {
         const WorkloadBundle b =
@@ -199,7 +189,7 @@ TEST_F(Integration, DeterministicEndToEnd)
     EXPECT_EQ(once(), once());
 }
 
-TEST_F(Integration, CxlLineIsWorstCaseForNoTier)
+TEST(Integration, CxlLineIsWorstCaseForNoTier)
 {
     const WorkloadBundle b = patternBundle(MasimPattern::PointerChase);
     Runner run;
@@ -210,13 +200,7 @@ TEST_F(Integration, CxlLineIsWorstCaseForNoTier)
 
 // Property sweep: PACT's capacity + accounting invariants across
 // ratios and workloads.
-class PactInvariants
-    : public ::testing::TestWithParam<std::tuple<std::string, double>>
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void TearDown() override { setLogQuiet(false); }
-};
+using PactInvariants = ::testing::TestWithParam<std::tuple<std::string, double>>;
 
 TEST_P(PactInvariants, HoldAcrossRatiosAndWorkloads)
 {

@@ -1,11 +1,13 @@
 /**
  * @file
- * Logging tests: message formatting, quiet mode, and the gem5-style
- * panic/fatal semantics.
+ * Logging tests: message formatting, per-thread tags, and the
+ * gem5-style panic/fatal semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,16 +19,6 @@ TEST(Logging, BuildMessageConcatenates)
 {
     EXPECT_EQ(detail::buildMessage("a", 1, "b", 2.5), "a1b2.5");
     EXPECT_EQ(detail::buildMessage(), "");
-}
-
-TEST(Logging, QuietFlagRoundTrips)
-{
-    const bool was = logQuiet();
-    setLogQuiet(true);
-    EXPECT_TRUE(logQuiet());
-    setLogQuiet(false);
-    EXPECT_FALSE(logQuiet());
-    setLogQuiet(was);
 }
 
 TEST(Logging, TagRoundTripsAndClears)
@@ -56,87 +48,35 @@ TEST(Logging, TagIsThreadLocal)
 
 TEST(Logging, ConcurrentWarnsDoNotRace)
 {
-    // TSan-facing: concurrent tagged warn()/inform() and quiet-flag
-    // flips must be data-race-free (mutexed emission, atomic flag).
-    const bool was = logQuiet();
-    setLogQuiet(true); // keep test output clean; the lock still runs
+    // TSan-facing: concurrent tagged warn()s must be data-race-free and
+    // each must land on stderr as one whole line.
+    testing::internal::CaptureStderr();
     std::vector<std::thread> threads;
     for (int i = 0; i < 4; i++) {
         threads.emplace_back([i] {
             setLogTag("t" + std::to_string(i));
-            for (int k = 0; k < 100; k++) {
+            for (int k = 0; k < 100; k++)
                 warn("concurrent warn ", k);
-                inform("concurrent info ", k);
-            }
         });
     }
     for (auto &t : threads)
         t.join();
-    setLogQuiet(was);
-}
-
-TEST(Logging, ConsecutiveDuplicateWarnsAreSuppressed)
-{
-    const bool was = logQuiet();
-    setLogQuiet(false);
-    flushWarnRepeats(); // forget any earlier test's last message
-
-    const std::uint64_t before = warnSuppressed();
-    warn("dedup-me");
-    warn("dedup-me");
-    warn("dedup-me");
-    EXPECT_EQ(warnSuppressed() - before, 2u)
-        << "identical consecutive warns must print once";
-    // A different message flushes the pending "repeated 2 more times"
-    // summary and prints normally.
-    warn("something else");
-    EXPECT_EQ(warnSuppressed() - before, 2u);
-    // The original message prints again after an intervening one (the
-    // dedup window is consecutive-only, not global).
-    warn("dedup-me");
-    EXPECT_EQ(warnSuppressed() - before, 2u);
-
-    flushWarnRepeats();
-    setLogQuiet(was);
-}
-
-TEST(Logging, FlushResetsDedupWindow)
-{
-    const bool was = logQuiet();
-    setLogQuiet(false);
-    flushWarnRepeats();
-
-    const std::uint64_t before = warnSuppressed();
-    warn("boundary message");
-    flushWarnRepeats(); // e.g. a run boundary
-    warn("boundary message");
-    EXPECT_EQ(warnSuppressed() - before, 0u)
-        << "flush must forget the last message";
-
-    flushWarnRepeats();
-    setLogQuiet(was);
-}
-
-TEST(LoggingDeath, RepeatedWarnsEmitSummaryLine)
-{
-    EXPECT_DEATH(
-        {
-            setLogQuiet(false);
-            flushWarnRepeats();
-            warn("spam line");
-            warn("spam line");
-            warn("spam line");
-            warn("different line");
-            std::abort();
-        },
-        "warn: last message repeated 2 more times");
+    std::istringstream err(testing::internal::GetCapturedStderr());
+    std::string line;
+    int lines = 0;
+    while (std::getline(err, line)) {
+        EXPECT_EQ(line.rfind("warn: [t", 0), 0u) << line;
+        EXPECT_NE(line.find("] concurrent warn "), std::string::npos)
+            << line;
+        lines++;
+    }
+    EXPECT_EQ(lines, 400);
 }
 
 TEST(LoggingDeath, TaggedWarnCarriesPrefix)
 {
     EXPECT_DEATH(
         {
-            setLogQuiet(false);
             setLogTag("runX");
             warn("tagged message");
             std::abort();

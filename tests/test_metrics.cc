@@ -373,7 +373,6 @@ TEST(TimeSeries, HeaderThenDeltaRows)
 
 TEST(TimeSeries, RecordedRunMatchesPlainRun)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
 
     Runner plain;
@@ -395,7 +394,6 @@ TEST(TimeSeries, RecordedRunMatchesPlainRun)
 
 TEST(TimeSeries, ByteIdenticalAcrossConcurrency)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
 
     // Serial reference.
@@ -426,7 +424,6 @@ TEST(TimeSeries, ByteIdenticalAcrossConcurrency)
 
 TEST(Engine, RunStatsIsARegistryView)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner runner;
     const RunResult r = runner.run(b, "PACT", 0.5);
@@ -452,7 +449,6 @@ TEST(Engine, RunStatsIsARegistryView)
 
 TEST(Export, ManifestCarriesConfigParamsAndStats)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner runner;
     const RunResult r = runner.run(b, "PACT", 0.5);
@@ -504,7 +500,6 @@ TEST(Export, TraceSinkEmitsLoadableDocument)
 
 TEST(Export, TraceSinkCollectsEngineSpans)
 {
-    setLogQuiet(true);
     const WorkloadBundle b = tinyBundle();
     Runner runner;
     obs::TraceEventSink sink;

@@ -10,7 +10,6 @@
 #include <cmath>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "harness/runner.hh"
 #include "pact/pact_policy.hh"
 #include "workloads/masim.hh"
@@ -62,18 +61,9 @@ objectPac(const PactPolicy &pol, const WorkloadBundle &b,
     return sum;
 }
 
-class QuietEnv : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void TearDown() override { setLogQuiet(false); }
-};
-
-using PactPolicyTest = QuietEnv;
-
 } // namespace
 
-TEST_F(PactPolicyTest, ChasePagesEarnHigherPacThanStreamPages)
+TEST(PactPolicyTest, ChasePagesEarnHigherPacThanStreamPages)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -92,7 +82,7 @@ TEST_F(PactPolicyTest, ChasePagesEarnHigherPacThanStreamPages)
               2.0 * seqPac / static_cast<double>(seqPages));
 }
 
-TEST_F(PactPolicyTest, ProfileOnlyNeverMigrates)
+TEST(PactPolicyTest, ProfileOnlyNeverMigrates)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -105,7 +95,7 @@ TEST_F(PactPolicyTest, ProfileOnlyNeverMigrates)
     EXPECT_GT(pol.table().size(), 0u);
 }
 
-TEST_F(PactPolicyTest, PromotionsBalancedByDemotions)
+TEST(PactPolicyTest, PromotionsBalancedByDemotions)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -116,7 +106,7 @@ TEST_F(PactPolicyTest, PromotionsBalancedByDemotions)
     EXPECT_GE(r.stats.demotions() + 8, r.stats.promotions());
 }
 
-TEST_F(PactPolicyTest, ProactiveModeDemotesAtLeastAsAggressively)
+TEST(PactPolicyTest, ProactiveModeDemotesAtLeastAsAggressively)
 {
     // With m > 0, PACT demotes ahead of promotions whenever demotable
     // (inactive) pages exist; it can never demote less than the
@@ -138,7 +128,7 @@ TEST_F(PactPolicyTest, ProactiveModeDemotesAtLeastAsAggressively)
     EXPECT_GE(r64.stats.demotions() + 8, r0.stats.demotions());
 }
 
-TEST_F(PactPolicyTest, AttributionConservesEstimatedStalls)
+TEST(PactPolicyTest, AttributionConservesEstimatedStalls)
 {
     // With alpha = 1 the summed PAC equals the summed per-window S
     // (up to float rounding), since each window distributes exactly S.
@@ -161,7 +151,7 @@ TEST_F(PactPolicyTest, AttributionConservesEstimatedStalls)
     EXPECT_LT(pacSum, 1.05 * estSum);
 }
 
-TEST_F(PactPolicyTest, FrequencyModeRanksByFreq)
+TEST(PactPolicyTest, FrequencyModeRanksByFreq)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -173,7 +163,7 @@ TEST_F(PactPolicyTest, FrequencyModeRanksByFreq)
     EXPECT_GT(r.stats.promotions(), 0u);
 }
 
-TEST_F(PactPolicyTest, CoolingResetShrinksPac)
+TEST(PactPolicyTest, CoolingResetShrinksPac)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -198,7 +188,7 @@ TEST_F(PactPolicyTest, CoolingResetShrinksPac)
     EXPECT_LT(sumReset, sumNone);
 }
 
-TEST_F(PactPolicyTest, CoolingDecaysFreqAlongsidePac)
+TEST(PactPolicyTest, CoolingDecaysFreqAlongsidePac)
 {
     // Regression: cooling used to decay e.pac but leave e.freq
     // untouched, so RankMode::Frequency never forgot stale pages.
@@ -234,7 +224,7 @@ TEST_F(PactPolicyTest, CoolingDecaysFreqAlongsidePac)
     EXPECT_LT(sumFreq(polReset), sumFreq(polNone));
 }
 
-TEST_F(PactPolicyTest, ChmuRejectsLatencyWeightedAttribution)
+TEST(PactPolicyTest, ChmuRejectsLatencyWeightedAttribution)
 {
     // The CHMU hot-list carries access counts only — no per-access
     // latency — so latency-weighted attribution is a config error.
@@ -253,7 +243,7 @@ TEST_F(PactPolicyTest, ChmuRejectsLatencyWeightedAttribution)
     }
 }
 
-TEST_F(PactPolicyTest, QuarantineLimitsChurn)
+TEST(PactPolicyTest, QuarantineLimitsChurn)
 {
     const WorkloadBundle b = makeWorkload("pac-inversion",
                                           {0.25, false, 3});
@@ -272,7 +262,7 @@ TEST_F(PactPolicyTest, QuarantineLimitsChurn)
     EXPECT_LT(rd.stats.promotions(), rc.stats.promotions());
 }
 
-TEST_F(PactPolicyTest, TimeSeriesRecorded)
+TEST(PactPolicyTest, TimeSeriesRecorded)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -283,7 +273,7 @@ TEST_F(PactPolicyTest, TimeSeriesRecorded)
     EXPECT_GT(pol.binWidth(), 0.0);
 }
 
-TEST_F(PactPolicyTest, KDefaultsToSlowLatency)
+TEST(PactPolicyTest, KDefaultsToSlowLatency)
 {
     const WorkloadBundle b = mixedBundle(100000);
     Runner run;
@@ -299,7 +289,7 @@ TEST_F(PactPolicyTest, KDefaultsToSlowLatency)
     }
 }
 
-TEST_F(PactPolicyTest, LatencyWeightedModeRuns)
+TEST(PactPolicyTest, LatencyWeightedModeRuns)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -310,7 +300,7 @@ TEST_F(PactPolicyTest, LatencyWeightedModeRuns)
     EXPECT_GT(r.stats.promotions(), 0u);
 }
 
-TEST_F(PactPolicyTest, CapacityInvariantHolds)
+TEST(PactPolicyTest, CapacityInvariantHolds)
 {
     const WorkloadBundle b = mixedBundle();
     Runner run;
@@ -326,7 +316,7 @@ TEST_F(PactPolicyTest, CapacityInvariantHolds)
               r.stats.migration.demotedPages + cap);
 }
 
-TEST_F(PactPolicyTest, LittlesLawMlpSourceWorks)
+TEST(PactPolicyTest, LittlesLawMlpSourceWorks)
 {
     // The AMD counter path (paper §4.2 portability) must produce the
     // same qualitative outcome as the TOR path: migrations happen and
@@ -345,7 +335,7 @@ TEST_F(PactPolicyTest, LittlesLawMlpSourceWorks)
     }
 }
 
-TEST_F(PactPolicyTest, RegionQuarantineCoversHugePages)
+TEST(PactPolicyTest, RegionQuarantineCoversHugePages)
 {
     const WorkloadBundle b =
         makeWorkload("pac-inversion", {0.25, true, 5});

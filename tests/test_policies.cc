@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "harness/runner.hh"
 #include "policies/colloid.hh"
 #include "policies/memtis.hh"
@@ -42,13 +41,6 @@ smallChase()
     return b;
 }
 
-class QuietTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void TearDown() override { setLogQuiet(false); }
-};
-
 } // namespace
 
 TEST(PolicyRegistry, MakesEveryKnownPolicy)
@@ -77,9 +69,7 @@ TEST(PolicyRegistryDeath, UnknownPolicyThrows)
     }
 }
 
-using PolicyBehaviour = QuietTest;
-
-TEST_F(PolicyBehaviour, TppMigratesMoreThanPact)
+TEST(PolicyBehaviour, TppMigratesMoreThanPact)
 {
     const WorkloadBundle b = smallChase();
     Runner run;
@@ -91,7 +81,7 @@ TEST_F(PolicyBehaviour, TppMigratesMoreThanPact)
     EXPECT_EQ(pact.stats.pmu.hintFaults, 0u); // PACT uses PEBS only
 }
 
-TEST_F(PolicyBehaviour, NomadChargesAbortsAndShadows)
+TEST(PolicyBehaviour, NomadChargesAbortsAndShadows)
 {
     const WorkloadBundle b = smallChase();
     Runner run;
@@ -103,7 +93,7 @@ TEST_F(PolicyBehaviour, NomadChargesAbortsAndShadows)
     EXPECT_GT(r.stats.pmu.hintFaults, 0u);
 }
 
-TEST_F(PolicyBehaviour, NomadRateLimitHolds)
+TEST(PolicyBehaviour, NomadRateLimitHolds)
 {
     const WorkloadBundle b = smallChase();
     Runner run;
@@ -114,7 +104,7 @@ TEST_F(PolicyBehaviour, NomadRateLimitHolds)
     EXPECT_LE(r.stats.promotions(), 4 * r.stats.daemonTicks + 4);
 }
 
-TEST_F(PolicyBehaviour, MemtisCoolingHalvesCounts)
+TEST(PolicyBehaviour, MemtisCoolingHalvesCounts)
 {
     const WorkloadBundle b = smallChase();
     Runner run;
@@ -128,7 +118,7 @@ TEST_F(PolicyBehaviour, MemtisCoolingHalvesCounts)
     EXPECT_GE(polFast.hotThreshold(), 1u);
 }
 
-TEST_F(PolicyBehaviour, ColloidBudgetRespondsToImbalance)
+TEST(PolicyBehaviour, ColloidBudgetRespondsToImbalance)
 {
     const WorkloadBundle b = smallChase();
     Runner run;
@@ -140,7 +130,7 @@ TEST_F(PolicyBehaviour, ColloidBudgetRespondsToImbalance)
     EXPECT_GT(tight.stats.promotions(), loose.stats.promotions());
 }
 
-TEST_F(PolicyBehaviour, AltoPromotesNoMoreThanColloid)
+TEST(PolicyBehaviour, AltoPromotesNoMoreThanColloid)
 {
     // Alto gates Colloid's budget by MLP, so on a high-MLP random
     // workload it must not exceed Colloid's migration volume.
@@ -163,7 +153,7 @@ TEST_F(PolicyBehaviour, AltoPromotesNoMoreThanColloid)
               colloid.stats.promotions() + 64);
 }
 
-TEST_F(PolicyBehaviour, SoarPlacesCriticalObjectsStatically)
+TEST(PolicyBehaviour, SoarPlacesCriticalObjectsStatically)
 {
     const WorkloadBundle b =
         makeWorkload("pac-inversion", {0.25, false, 7});
@@ -195,7 +185,7 @@ TEST_F(PolicyBehaviour, SoarPlacesCriticalObjectsStatically)
     EXPECT_EQ(r.stats.demotions(), 0u);
 }
 
-TEST_F(PolicyBehaviour, SoarSkipsObjectsTooBigToFit)
+TEST(PolicyBehaviour, SoarSkipsObjectsTooBigToFit)
 {
     std::vector<SoarObjectProfile> prof(2);
     prof[0].object = 0;
@@ -211,7 +201,7 @@ TEST_F(PolicyBehaviour, SoarSkipsObjectsTooBigToFit)
     EXPECT_EQ(plan[0], 1u);
 }
 
-TEST_F(PolicyBehaviour, NoTierNeverMigrates)
+TEST(PolicyBehaviour, NoTierNeverMigrates)
 {
     const WorkloadBundle b = smallChase();
     Runner run;
@@ -225,13 +215,7 @@ TEST_F(PolicyBehaviour, NoTierNeverMigrates)
 // Parameterized consistency sweep: every policy, two ratios.
 // ---------------------------------------------------------------
 
-class AllPolicies
-    : public ::testing::TestWithParam<std::tuple<std::string, double>>
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void TearDown() override { setLogQuiet(false); }
-};
+using AllPolicies = ::testing::TestWithParam<std::tuple<std::string, double>>;
 
 TEST_P(AllPolicies, CompletesWithConsistentAccounting)
 {
@@ -270,7 +254,7 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-TEST_F(PolicyBehaviour, MemtisBudgetBoundsMigrationVolume)
+TEST(PolicyBehaviour, MemtisBudgetBoundsMigrationVolume)
 {
     const WorkloadBundle b = smallChase();
     Runner run;
@@ -287,7 +271,7 @@ TEST_F(PolicyBehaviour, MemtisBudgetBoundsMigrationVolume)
               rl.stats.migration.promotedPages + 64);
 }
 
-TEST_F(PolicyBehaviour, ColloidBacksOffOnUnbalanceableWorkloads)
+TEST(PolicyBehaviour, ColloidBacksOffOnUnbalanceableWorkloads)
 {
     // Uniform-random access cannot be balanced by migration; the
     // control loop must decay the budget instead of churning forever.
@@ -310,7 +294,7 @@ TEST_F(PolicyBehaviour, ColloidBacksOffOnUnbalanceableWorkloads)
               res.stats.daemonTicks * 512 + 4096);
 }
 
-TEST_F(PolicyBehaviour, RegistryMakesLittlesLawVariant)
+TEST(PolicyBehaviour, RegistryMakesLittlesLawVariant)
 {
     EXPECT_NE(makePolicy("PACT-littleslaw"), nullptr);
 }

@@ -14,11 +14,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
-#include "common/logging.hh"
 #include "harness/pool.hh"
 #include "harness/sweep.hh"
 #include "workloads/masim.hh"
@@ -82,15 +82,6 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.stats.daemonTicks, b.stats.daemonTicks);
     EXPECT_EQ(a.stats.spans, b.stats.spans);
 }
-
-class QuietEnv : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void TearDown() override { setLogQuiet(false); }
-};
-
-using PoolTest = QuietEnv;
 
 } // namespace
 
@@ -217,7 +208,7 @@ TEST(ParallelFor, ZeroIterationsIsANoOp)
     parallelFor(0, [](std::size_t) { FAIL() << "must not run"; }, 4);
 }
 
-TEST_F(PoolTest, BaselineCacheSafeUnderConcurrentHammer)
+TEST(PoolTest, BaselineCacheSafeUnderConcurrentHammer)
 {
     const WorkloadBundle b = tinyBundle();
     Runner serial;
@@ -246,7 +237,7 @@ TEST_F(PoolTest, BaselineCacheSafeUnderConcurrentHammer)
     EXPECT_EQ(*seen[0], expect); // and the same runtimes as serial
 }
 
-TEST_F(PoolTest, RunManyMatchesSerialBitForBit)
+TEST(PoolTest, RunManyMatchesSerialBitForBit)
 {
     const WorkloadBundle chase = tinyBundle();
     const WorkloadBundle rnd = tinyBundle(MasimPattern::Random);
@@ -268,7 +259,7 @@ TEST_F(PoolTest, RunManyMatchesSerialBitForBit)
         expectIdentical(serial[i], parallel[i]);
 }
 
-TEST_F(PoolTest, RatioSweepDeterministicAcrossJobCounts)
+TEST(PoolTest, RatioSweepDeterministicAcrossJobCounts)
 {
     const WorkloadBundle b = tinyBundle();
     const std::vector<std::string> policies = {"NoTier", "PACT"};
@@ -288,7 +279,7 @@ TEST_F(PoolTest, RatioSweepDeterministicAcrossJobCounts)
     }
 }
 
-TEST_F(PoolTest, SeedSweepDeterministicAcrossJobCounts)
+TEST(PoolTest, SeedSweepDeterministicAcrossJobCounts)
 {
     static_assert(
         std::is_same_v<decltype(SeedStats::meanPromotions), double>,
@@ -307,7 +298,7 @@ TEST_F(PoolTest, SeedSweepDeterministicAcrossJobCounts)
     EXPECT_EQ(serial.meanPromotions, parallel.meanPromotions);
 }
 
-TEST_F(PoolTest, TruncatedRunsWriteFailedManifestRows)
+TEST(PoolTest, TruncatedRunsWriteFailedManifestRows)
 {
     const WorkloadBundle b = tinyBundle();
     const std::vector<RunSpec> specs = {{&b, "PACT", 0.5},
@@ -346,4 +337,56 @@ TEST_F(PoolTest, TruncatedRunsWriteFailedManifestRows)
                 << m.errorMessage;
         }
     }
+}
+
+TEST(PoolTest, TruncatedRunWarnsOnceWithCapAndProgress)
+{
+    const WorkloadBundle b = tinyBundle();
+    SimConfig cfg;
+    cfg.maxWallCycles = 1000000;
+    Runner capped(cfg);
+    // The one stderr line names the cap and the run's progress; on the
+    // pool path it starts with the run's [bundle/policy] tag.
+    auto expectOneWarning = [](const std::string &err, const RunStats &st,
+                               const std::string &start) {
+        EXPECT_FALSE(st.completed);
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+        EXPECT_EQ(err.rfind("warn: " + start, 0), 0u) << err;
+        for (const std::string &part :
+             {std::string("maxWallCycles cap of 1000000 cycles"),
+              "retiring " + std::to_string(st.primaryRetired) + " of " +
+                  std::to_string(st.primaryOps) + " ops"})
+            EXPECT_NE(err.find(part), std::string::npos) << err;
+    };
+
+    testing::internal::CaptureStderr();
+    const RunResult direct = capped.run(b, "PACT", 0.5);
+    expectOneWarning(testing::internal::GetCapturedStderr(), direct.stats,
+                     "run cut short");
+
+    testing::internal::CaptureStderr();
+    const std::vector<RunOutcome> pooled =
+        runManyOutcomes(capped, {{&b, "NoTier", 0.5}}, 2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(pooled.size(), 1u);
+    ASSERT_TRUE(pooled[0].ok);
+    expectOneWarning(err, pooled[0].result.stats, "[tiny-chase/NoTier] ");
+}
+
+TEST(PoolTest, RunCompletingExactlyAtTheCapPrintsNothing)
+{
+    const WorkloadBundle b = tinyBundle();
+    Runner uncapped;
+    const RunResult full = uncapped.run(b, "PACT", 0.5);
+    ASSERT_TRUE(full.stats.completed);
+
+    SimConfig cfg;
+    cfg.maxWallCycles = full.stats.wallCycles;
+    Runner capped(cfg);
+    testing::internal::CaptureStderr();
+    const RunResult r = capped.run(b, "PACT", 0.5);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_TRUE(r.stats.completed);
+    EXPECT_EQ(r.stats.primaryRetired, r.stats.primaryOps);
+    EXPECT_EQ(r.stats.wallCycles, full.stats.wallCycles);
 }

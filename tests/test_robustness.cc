@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "fault/fault.hh"
 #include "harness/pool.hh"
 #include "pact/binning.hh"
@@ -74,15 +73,6 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.stats.daemonTicks, b.stats.daemonTicks);
     EXPECT_EQ(a.stats.registry, b.stats.registry); // full stat dump
 }
-
-class QuietEnv : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void TearDown() override { setLogQuiet(false); }
-};
-
-using RobustnessTest = QuietEnv;
 
 } // namespace
 
@@ -411,7 +401,7 @@ TEST(FaultPlan, StarvationBurstsDropWholeRuns)
 // Fault effects in the engine
 // ---------------------------------------------------------------------
 
-TEST_F(RobustnessTest, MigrationAbortFaultsSurfaceAsFailedMigrations)
+TEST(RobustnessTest, MigrationAbortFaultsSurfaceAsFailedMigrations)
 {
     SimConfig cfg;
     cfg.faults = "migabort:p=0.5";
@@ -422,7 +412,7 @@ TEST_F(RobustnessTest, MigrationAbortFaultsSurfaceAsFailedMigrations)
     EXPECT_GT(r.stats.migration.failed, 0u);
 }
 
-TEST_F(RobustnessTest, FullPebsDropStarvesThePolicy)
+TEST(RobustnessTest, FullPebsDropStarvesThePolicy)
 {
     SimConfig cfg;
     cfg.faults = "pebsdrop:p=1";
@@ -435,7 +425,7 @@ TEST_F(RobustnessTest, FullPebsDropStarvesThePolicy)
     EXPECT_EQ(r.stats.promotions(), 0u);
 }
 
-TEST_F(RobustnessTest, WrapAndJitterRunsCompleteAndCount)
+TEST(RobustnessTest, WrapAndJitterRunsCompleteAndCount)
 {
     SimConfig cfg;
     cfg.faults = "wrap:bits=24;jitter:frac=0.3";
@@ -447,7 +437,7 @@ TEST_F(RobustnessTest, WrapAndJitterRunsCompleteAndCount)
     EXPECT_GT(r.stats.daemonTicks, 0u);
 }
 
-TEST_F(RobustnessTest, CopyFaultsSurfaceAsTxnAbortsAndRetries)
+TEST(RobustnessTest, CopyFaultsSurfaceAsTxnAbortsAndRetries)
 {
     SimConfig cfg;
     cfg.faults = "midabort:p=0.4;dirty:p=0.2;tierfail:p=0.2";
@@ -465,7 +455,7 @@ TEST_F(RobustnessTest, CopyFaultsSurfaceAsTxnAbortsAndRetries)
               r.stats.txn.prepared);
 }
 
-TEST_F(RobustnessTest, StallAndStarveRunsCompleteAndCount)
+TEST(RobustnessTest, StallAndStarveRunsCompleteAndCount)
 {
     SimConfig cfg;
     cfg.faults = "stall:p=0.3,periods=4;pebsstarve:p=0.005,len=64";
@@ -480,7 +470,7 @@ TEST_F(RobustnessTest, StallAndStarveRunsCompleteAndCount)
     EXPECT_GT(r.stats.daemonTicks, 0u);
 }
 
-TEST_F(RobustnessTest, AdmitSuffixGatesUnprofitableMigrations)
+TEST(RobustnessTest, AdmitSuffixGatesUnprofitableMigrations)
 {
     // Under a persistent abort storm the +admit wrapper should learn
     // to reject promotions, cutting wasted copy bandwidth relative to
@@ -497,7 +487,7 @@ TEST_F(RobustnessTest, AdmitSuffixGatesUnprofitableMigrations)
               base.stats.txn.wastedCopyCycles);
 }
 
-TEST_F(RobustnessTest, AdmitSuffixIsInertWithoutFaults)
+TEST(RobustnessTest, AdmitSuffixIsInertWithoutFaults)
 {
     // Faults off: the gate never arms, so PACT+admit must reproduce
     // PACT's end-to-end timing exactly.
@@ -512,7 +502,7 @@ TEST_F(RobustnessTest, AdmitSuffixIsInertWithoutFaults)
               admit.stats.migration.promotedOps);
 }
 
-TEST_F(RobustnessTest, FaultedSweepIsDeterministicAcrossJobCounts)
+TEST(RobustnessTest, FaultedSweepIsDeterministicAcrossJobCounts)
 {
     SimConfig cfg;
     cfg.faults = "migabort:p=0.3;pebsdrop:p=0.1;jitter:frac=0.2";
@@ -562,7 +552,7 @@ TEST(ParallelForExceptions, LowestIndexRethrownAfterAllIterationsRun)
 // Fault-tolerant sweeps
 // ---------------------------------------------------------------------
 
-TEST_F(RobustnessTest, PoisonedSweepSurvivorsAreBitIdentical)
+TEST(RobustnessTest, PoisonedSweepSurvivorsAreBitIdentical)
 {
     const WorkloadBundle b = tinyBundle();
     std::vector<RunSpec> clean = {{&b, "PACT", 0.4}, {&b, "NoTier", 0.4}};
@@ -598,7 +588,7 @@ TEST_F(RobustnessTest, PoisonedSweepSurvivorsAreBitIdentical)
     }
 }
 
-TEST_F(RobustnessTest, RunManyStillPropagatesTheLowestFailure)
+TEST(RobustnessTest, RunManyStillPropagatesTheLowestFailure)
 {
     const WorkloadBundle b = tinyBundle();
     std::vector<RunSpec> specs = {
@@ -617,7 +607,7 @@ TEST_F(RobustnessTest, RunManyStillPropagatesTheLowestFailure)
 // Per-run watchdog
 // ---------------------------------------------------------------------
 
-TEST_F(RobustnessTest, WatchdogTimeoutBecomesAStructuredFailure)
+TEST(RobustnessTest, WatchdogTimeoutBecomesAStructuredFailure)
 {
     EXPECT_EQ(envRunTimeoutMs(), 0u); // default: disabled
     setenv("PACT_RUN_TIMEOUT_MS", "1", 1);
@@ -634,7 +624,7 @@ TEST_F(RobustnessTest, WatchdogTimeoutBecomesAStructuredFailure)
               std::string::npos);
 }
 
-TEST_F(RobustnessTest, WatchdogCoversTimeSeriesRuns)
+TEST(RobustnessTest, WatchdogCoversTimeSeriesRuns)
 {
     // The same runaway run, driven in recorder windows: the watchdog
     // must cut it off too.
@@ -651,7 +641,7 @@ TEST_F(RobustnessTest, WatchdogCoversTimeSeriesRuns)
     EXPECT_GT(rec.rows(), 0u);
 }
 
-TEST_F(RobustnessTest, WatchedRunUnderBudgetIsIdenticalToUnwatched)
+TEST(RobustnessTest, WatchedRunUnderBudgetIsIdenticalToUnwatched)
 {
     const WorkloadBundle b = tinyBundle();
     Runner plain;
@@ -667,7 +657,7 @@ TEST_F(RobustnessTest, WatchedRunUnderBudgetIsIdenticalToUnwatched)
 // Invariant auditor
 // ---------------------------------------------------------------------
 
-TEST_F(RobustnessTest, AuditedHealthyRunPasses)
+TEST(RobustnessTest, AuditedHealthyRunPasses)
 {
     SimConfig cfg;
     cfg.audit = true;
@@ -678,7 +668,7 @@ TEST_F(RobustnessTest, AuditedHealthyRunPasses)
     EXPECT_GT(r.stats.daemonTicks, 0u);
 }
 
-TEST_F(RobustnessTest, AuditedFaultedRunStillPasses)
+TEST(RobustnessTest, AuditedFaultedRunStillPasses)
 {
     // The auditor holds under injection: faults perturb behaviour but
     // must never corrupt tier accounting.
@@ -690,7 +680,7 @@ TEST_F(RobustnessTest, AuditedFaultedRunStillPasses)
     EXPECT_GT(run.run(b, "PACT", 0.4).runtime, 0u);
 }
 
-TEST_F(RobustnessTest, CorruptedTierBookkeepingTripsTheAuditor)
+TEST(RobustnessTest, CorruptedTierBookkeepingTripsTheAuditor)
 {
     const WorkloadBundle b = tinyBundle();
     SimConfig cfg;
@@ -775,7 +765,7 @@ TEST(DegenerateMath, BinOfToleratesNanAndNegatives)
               4000000000u);
 }
 
-TEST_F(RobustnessTest, MasslessWindowAttributionStaysFinite)
+TEST(RobustnessTest, MasslessWindowAttributionStaysFinite)
 {
     // A window whose samples carry zero total latency mass (A_t == 0
     // in S_p = S * A_p / A_t) must fall back to count-based shares,

@@ -61,19 +61,6 @@ TEST(Stats, FitThroughOrigin)
     EXPECT_DOUBLE_EQ(fitSlopeThroughOrigin({0, 0}, {1, 2}), 0.0);
 }
 
-TEST(Stats, LinearFitRecoversLine)
-{
-    std::vector<double> xs, ys;
-    for (int i = 0; i < 50; i++) {
-        xs.push_back(i);
-        ys.push_back(3.0 + 2.5 * i);
-    }
-    const LinearFit f = linearFit(xs, ys);
-    EXPECT_NEAR(f.slope, 2.5, 1e-9);
-    EXPECT_NEAR(f.intercept, 3.0, 1e-9);
-    EXPECT_NEAR(f.r2, 1.0, 1e-9);
-}
-
 TEST(Stats, FiveNumberSummary)
 {
     const FiveNum f = fiveNumber({5, 1, 3, 2, 4});
@@ -83,60 +70,4 @@ TEST(Stats, FiveNumberSummary)
     EXPECT_DOUBLE_EQ(f.q1, 2.0);
     EXPECT_DOUBLE_EQ(f.q3, 4.0);
     EXPECT_EQ(f.count, 5u);
-}
-
-TEST(Stats, HistogramBinsAndClamps)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bin 0
-    h.add(9.9);   // bin 4
-    h.add(-3.0);  // clamps to 0
-    h.add(100.0); // clamps to 4
-    h.add(4.0);   // bin 2
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(2), 1u);
-    EXPECT_EQ(h.count(4), 2u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.edge(1), 2.0);
-}
-
-TEST(Stats, EcdfMonotone)
-{
-    const auto cdf = ecdf({3.0, 1.0, 2.0});
-    ASSERT_EQ(cdf.size(), 3u);
-    EXPECT_DOUBLE_EQ(cdf[0].first, 1.0);
-    EXPECT_NEAR(cdf[0].second, 1.0 / 3.0, 1e-12);
-    EXPECT_DOUBLE_EQ(cdf[2].second, 1.0);
-}
-
-TEST(Stats, EwmaConvergence)
-{
-    Ewma e(0.5);
-    EXPECT_FALSE(e.seeded());
-    e.add(10.0);
-    EXPECT_DOUBLE_EQ(e.value(), 10.0);
-    e.add(0.0);
-    EXPECT_DOUBLE_EQ(e.value(), 5.0);
-    e.add(0.0);
-    EXPECT_DOUBLE_EQ(e.value(), 2.5);
-}
-
-TEST(Stats, StreamQuantilesExactWhenSmall)
-{
-    StreamQuantiles q(100);
-    std::uint64_t rs = 12345;
-    for (int i = 1; i <= 99; i++)
-        q.add(i, rs);
-    EXPECT_NEAR(q.quantile(0.5), 50.0, 1.0);
-    EXPECT_EQ(q.seen(), 99u);
-}
-
-TEST(Stats, StreamQuantilesApproximateWhenLarge)
-{
-    StreamQuantiles q(256);
-    std::uint64_t rs = 777;
-    for (int i = 0; i < 100000; i++)
-        q.add(static_cast<double>(i % 1000), rs);
-    EXPECT_EQ(q.size(), 256u);
-    EXPECT_NEAR(q.quantile(0.5), 500.0, 120.0);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <sstream>
 
 #include "common/table.hh"
@@ -63,4 +64,11 @@ TEST(Table, CellCountUsesSuffix)
     std::ostringstream os;
     t.print(os);
     EXPECT_NE(os.str().find("1.2M"), std::string::npos);
+}
+
+TEST(TableDeath, NoColumnsIsAWiringBug)
+{
+    // A column-less table is a caller bug, not a user error: panic.
+    EXPECT_EXIT({ Table t({}); }, ::testing::KilledBySignal(SIGABRT),
+                "need at least one column");
 }
