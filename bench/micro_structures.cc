@@ -517,8 +517,7 @@ BENCHMARK(BM_RegistrySample)->Arg(48);
  * the benchmark thread's CPU time. Cold generation fans out over a
  * thread pool, so that rate flatters it; the warm-start speedup is the
  * ratio of the two wall times. EXPERIMENTS.md ("Trace store") holds
- * the current numbers; the frozen BENCH_hotpath.json holds only the
- * first measurement.
+ * the current numbers.
  */
 static void
 BM_WorkloadGenCold(benchmark::State &state)

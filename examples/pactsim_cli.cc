@@ -21,7 +21,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "fault/fault.hh"
 #include "harness/pool.hh"
 #include "harness/sweep.hh"
 #include "obs/export.hh"
@@ -89,8 +88,6 @@ usage()
         "                      identical regardless of job count.\n"
         "  PACT_TRACE_DIR      trace-store directory (--trace-dir\n"
         "                      overrides; 1 = .pact-traces)\n"
-        "  PACT_FAULTS         fault spec (--faults overrides)\n"
-        "  PACT_AUDIT          1 = invariant auditor (like --audit)\n"
         "  PACT_RUN_TIMEOUT_MS per-run wall-clock budget; a run over\n"
         "                      budget fails with TimeoutError\n");
 }
@@ -268,11 +265,7 @@ cliMain(int argc, char **argv)
         workload = "masim-coloc" + std::to_string(tenantCount);
     }
 
-    // Resolve PACT_FAULTS into the config up front so the manifest
-    // records the effective fault spec, and validate before spending
-    // time building the workload.
-    if (cfg.faults.empty())
-        cfg.faults = envFaultSpec();
+    // Validate before spending time building the workload.
     cfg.validate();
 
     WorkloadSource source = WorkloadSource::Generated;

@@ -1,10 +1,10 @@
 #!/bin/sh
-# Build with -DPACT_SANITIZE=address (ASan + UBSan, see the top-level
-# CMakeLists) and run the robustness tests, so memory errors on the
-# fault-injection / failure paths — exactly the paths ordinary green
-# runs never exercise — are caught before they land. Skips (exit 0)
-# when the toolchain has no usable ASan runtime, so it is safe to call
-# unconditionally from CI.
+# Run the robustness tests in the ASan + UBSan tree that
+# scripts/build_asan.sh builds (a no-op when it is up to date), so
+# memory errors on the fault-injection / failure paths — exactly the
+# paths ordinary green runs never exercise — are caught before they
+# land. Skips (exit 0) when the toolchain has no usable ASan runtime,
+# so it is safe to call unconditionally from CI.
 #
 # Usage: scripts/check_asan.sh [build-dir]   (default: build-asan)
 set -eu
@@ -12,23 +12,9 @@ set -eu
 repo=$(cd "$(dirname "$0")/.." && pwd)
 build=${1:-"$repo/build-asan"}
 
-# Probe for a working ASan+UBSan runtime: some minimal images ship the
-# compiler flag but not the runtime, which only surfaces at link time.
-probe=$(mktemp -d)
-trap 'rm -rf "$probe"' EXIT
-cat >"$probe/t.cc" <<'EOF'
-int main() { return 0; }
-EOF
-if ! ${CXX:-c++} -fsanitize=address,undefined "$probe/t.cc" \
-    -o "$probe/t" >/dev/null 2>&1; then
-    echo "check_asan: no usable ASan runtime; skipping" >&2
-    exit 0
-fi
-
-cmake -B "$build" -S "$repo" -DPACT_SANITIZE=address
-cmake --build "$build" -j --target test_robustness test_txn test_pool \
-    test_trace_store test_multicore test_cache test_tier_manager \
-    test_harness
+"$repo/scripts/build_asan.sh" "$build"
+# build_asan.sh skipped: there is nothing to run.
+[ -f "$build/CMakeCache.txt" ] || exit 0
 
 # halt_on_error so the first report fails the script rather than
 # scrolling past; the robustness tests drive every fault class plus

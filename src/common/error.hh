@@ -10,7 +10,7 @@
  *  - ConfigError    bad SimConfig / component parameters
  *  - WorkloadError  bad workload name or workload construction input
  *  - PolicyError    bad policy name or policy-level misuse
- *  - InvariantError a PACT_AUDIT=1 consistency audit failed
+ *  - InvariantError a --audit consistency audit failed
  *  - TimeoutError   a run exceeded PACT_RUN_TIMEOUT_MS wall time
  *
  * panic() remains the right tool for internal simulator bugs (abort);
@@ -75,7 +75,7 @@ class PolicyError : public SimError
     }
 };
 
-/** A periodic audit (PACT_AUDIT=1) found inconsistent state. */
+/** A periodic audit (SimConfig::audit) found inconsistent state. */
 class InvariantError : public SimError
 {
   public:

@@ -292,11 +292,4 @@ FaultPlan::starveSample()
     return true;
 }
 
-std::string
-envFaultSpec()
-{
-    const char *s = std::getenv("PACT_FAULTS");
-    return s ? std::string(s) : std::string();
-}
-
 } // namespace pact

@@ -106,7 +106,7 @@ struct FaultSpec
 };
 
 /**
- * Parse the --faults / PACT_FAULTS grammar documented above. Empty
+ * Parse the --faults grammar documented above. Empty
  * input yields an all-disabled spec; malformed clauses, unknown fault
  * names, unknown or duplicate parameters, and out-of-range values
  * throw ConfigError naming the offending token.
@@ -208,9 +208,6 @@ class FaultPlan
     std::uint64_t starveLeft_ = 0;
     FaultCounters counters_;
 };
-
-/** The PACT_FAULTS environment spec, or "" when unset. */
-std::string envFaultSpec();
 
 } // namespace pact
 

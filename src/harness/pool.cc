@@ -11,23 +11,6 @@ namespace pact
 namespace
 {
 
-/** Restore the calling thread's log tag even when a run throws. */
-class LogTagScope
-{
-  public:
-    explicit LogTagScope(const std::string &tag) : prev_(logTag())
-    {
-        setLogTag(tag);
-    }
-    ~LogTagScope() { setLogTag(prev_); }
-
-    LogTagScope(const LogTagScope &) = delete;
-    LogTagScope &operator=(const LogTagScope &) = delete;
-
-  private:
-    std::string prev_;
-};
-
 /** Run one spec on the tenant or the single-daemon path it names. */
 RunResult
 runSpec(Runner &runner, const RunSpec &s)
@@ -49,8 +32,6 @@ runMany(Runner &runner, const std::vector<RunSpec> &specs, unsigned jobs)
         [&](std::size_t i) {
             const RunSpec &s = specs[i];
             panic_if(!s.bundle, "runMany: spec without bundle");
-            // Narrow the thread's log tag to the run for its duration.
-            const LogTagScope tag(s.bundle->name + "/" + s.policy);
             out[i] = runSpec(runner, s);
         },
         jobs);
@@ -69,7 +50,6 @@ runManyOutcomes(Runner &runner, const std::vector<RunSpec> &specs,
             panic_if(!s.bundle, "runManyOutcomes: spec without bundle");
             RunOutcome &o = out[i];
             o.spec = s;
-            const LogTagScope tag(s.bundle->name + "/" + s.policy);
             try {
                 o.result = runSpec(runner, s);
                 o.ok = true;

@@ -118,6 +118,26 @@ manifestResult(const RunResult &r)
 namespace
 {
 
+/**
+ * Narrow the calling thread's log tag to one run for its duration and
+ * restore it even when the run throws.
+ */
+class LogTagScope
+{
+  public:
+    explicit LogTagScope(const std::string &tag) : prev_(logTag())
+    {
+        setLogTag(tag);
+    }
+    ~LogTagScope() { setLogTag(prev_); }
+
+    LogTagScope(const LogTagScope &) = delete;
+    LogTagScope &operator=(const LogTagScope &) = delete;
+
+  private:
+    std::string prev_;
+};
+
 /** The per-run config: base + capacity + any per-spec overrides. */
 SimConfig
 overriddenConfig(SimConfig cfg, const RunOverrides *mods)
@@ -218,6 +238,7 @@ Runner::runSpecs(const WorkloadBundle &bundle, std::vector<TenantSpec> specs,
                  double fast_share, const std::string &label,
                  const RunObservers *obs, const RunOverrides *mods)
 {
+    const LogTagScope tag(bundle.name + "/" + label);
     const Baseline &base = baselineRun(bundle);
 
     SimConfig cfg = overriddenConfig(cfg_, mods);
@@ -282,6 +303,8 @@ Runner::run(const WorkloadBundle &bundle, const std::string &policy_name,
             double fast_share, const RunObservers *obs,
             const RunOverrides *mods)
 {
+    // Tag the Soar profiling pass too, not only the measured run.
+    const LogTagScope tag(bundle.name + "/" + policy_name);
     auto policy = makePolicy(policy_name);
 
     if (auto *soar = dynamic_cast<SoarPolicy *>(policy.get());

@@ -89,6 +89,10 @@ struct RunObservers
  * that); each run owns its Engine and RNG, and the baseline cache is
  * computed exactly once per bundle name. config() must only be
  * mutated while no runs are in flight.
+ *
+ * Every run entry point tags the calling thread's warnings with
+ * "[<bundle>/<label>] " for the run's duration, including the
+ * baseline it triggers and Soar's profiling pass.
  */
 class Runner
 {

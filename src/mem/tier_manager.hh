@@ -279,7 +279,7 @@ class TierManager
     bool hugeInUse() const { return hugeCount_ > 0; }
 
     /**
-     * Full-consistency audit (PACT_AUDIT=1): recounts the page array
+     * Full-consistency audit (SimConfig::audit): recounts the page array
      * and checks that every touched page sits in exactly one valid
      * tier, per-tier residency matches the used() accounting, touched
      * and huge counts are conserved, fast-tier usage (including any

@@ -157,14 +157,13 @@ struct SimConfig
 
     /**
      * Fault-injection spec (see src/fault/fault.hh for the grammar).
-     * Empty disables injection; the PACT_FAULTS environment variable
-     * fills this in when the config leaves it empty.
+     * Empty disables injection.
      */
     std::string faults;
 
     /**
-     * Run the periodic invariant auditor every daemon window (also
-     * enabled by PACT_AUDIT=1). Throws InvariantError on violation.
+     * Run the periodic invariant auditor every daemon window.
+     * Throws InvariantError on violation.
      */
     bool audit = false;
 

@@ -1,7 +1,6 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -11,14 +10,6 @@ namespace pact
 
 namespace
 {
-
-/** PACT_AUDIT=1 (any value but "0"/"") enables the periodic audit. */
-bool
-envAudit()
-{
-    const char *s = std::getenv("PACT_AUDIT");
-    return s && *s && std::string(s) != "0";
-}
 
 /** One tenant holding every trace under @p policy. */
 std::vector<TenantSpec>
@@ -76,8 +67,7 @@ Engine::Engine(const SimConfig &cfg, const AddrSpace &as,
       tm_(as.totalPages(), cfg.fastCapacityPages),
       lru_(as.totalPages()),
       mig_(tm_, lru_, *this, cfg.migration, numProcs(tenants)),
-      faults_(FaultPlan::fromSpec(
-          cfg.faults.empty() ? envFaultSpec() : cfg.faults, cfg.seed))
+      faults_(FaultPlan::fromSpec(cfg.faults, cfg.seed))
 {
     tenants_.reserve(tenants.size());
     for (TenantSpec &s : tenants) {
@@ -93,7 +83,6 @@ void
 Engine::init()
 {
     mig_.setFaultPlan(faults_.get());
-    auditEnabled_ = cfg_.audit || envAudit();
 
     if (cfg_.chmu.enabled) {
         ChmuParams cp;
@@ -582,7 +571,7 @@ Engine::runUntil(Cycles until)
             }
             // Debug-mode consistency audit: tier accounting after the
             // ticks' migrations, then each policy's own invariants.
-            if (auditEnabled_) {
+            if (cfg_.audit) {
                 tm_.auditConsistency();
                 for (auto &t : tenants_) {
                     if (t->spec.policy)
@@ -656,7 +645,7 @@ Engine::replayLlcOutcomes(std::shared_ptr<const LlcOutcomes> stream)
         stream->params() != cfg_.cache)
         return false;
     llcReplay_ = std::move(stream);
-    cache_.replay(llcReplay_.get(), auditEnabled_);
+    cache_.replay(llcReplay_.get(), cfg_.audit);
     return true;
 }
 
@@ -675,7 +664,7 @@ Engine::finishRun()
         refreshWrappedPmu(*t);
         t->spec.policy->finish(*t->ctx);
     }
-    if (auditEnabled_)
+    if (cfg_.audit)
         tm_.auditConsistency();
 }
 

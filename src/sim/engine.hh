@@ -213,9 +213,9 @@ class Engine : public MigrationBackend
      * store. Taken only when this engine has exactly one core, its
      * trace does not loop, and the stream was recorded from the same
      * trace, address space and CacheParams; otherwise the live probe
-     * stays. Under audit (SimConfig::audit or PACT_AUDIT) the live
-     * probe also runs and throws InvariantError at the first outcome
-     * that differs. Call before the first runUntil().
+     * stays. Under SimConfig::audit the live probe also runs and
+     * throws InvariantError at the first outcome that differs. Call
+     * before the first runUntil().
      * @return whether the stream is replayed.
      */
     bool replayLlcOutcomes(std::shared_ptr<const LlcOutcomes> stream);
@@ -339,8 +339,6 @@ class Engine : public MigrationBackend
     bool finished_ = false;
     /** Stopped at maxWallCycles before every primary trace retired. */
     bool truncated_ = false;
-    /** Periodic invariant audit (SimConfig::audit or PACT_AUDIT=1). */
-    bool auditEnabled_ = false;
     /** LLC outcome stream this run records into, or replays. */
     std::shared_ptr<LlcOutcomes> llcRecord_;
     std::shared_ptr<const LlcOutcomes> llcReplay_;

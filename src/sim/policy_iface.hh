@@ -104,7 +104,7 @@ class TieringPolicy : public AccessListener
     virtual void tick(SimContext &ctx) = 0;
 
     /**
-     * Audit policy-internal invariants (PACT_AUDIT=1); called by the
+     * Audit policy-internal invariants (SimConfig::audit); called by the
      * engine after every tick. Implementations throw InvariantError
      * with a dump of the violating entity.
      */

@@ -290,8 +290,9 @@ TEST(StatRegistry, DistributionsLiveInTheirOwnList)
     reg.forEachDist(
         [&](const std::string &n, const obs::Distribution &dist) {
             visited.push_back(n);
-            if (n == "zeta.latency")
+            if (n == "zeta.latency") {
                 EXPECT_EQ(dist.count(), 1u);
+            }
         });
     EXPECT_EQ(visited, want);
 }
@@ -513,6 +514,7 @@ TEST(Export, TraceSinkCollectsEngineSpans)
     const std::string doc = os.str();
     EXPECT_NE(doc.find("daemon.tick"), std::string::npos);
     // A PACT run on a chase workload migrates at least once.
-    if (r.stats.promotions() > 0)
+    if (r.stats.promotions() > 0) {
         EXPECT_NE(doc.find("promote.copy"), std::string::npos);
+    }
 }

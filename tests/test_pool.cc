@@ -345,8 +345,8 @@ TEST(PoolTest, TruncatedRunWarnsOnceWithCapAndProgress)
     SimConfig cfg;
     cfg.maxWallCycles = 1000000;
     Runner capped(cfg);
-    // The one stderr line names the cap and the run's progress; on the
-    // pool path it starts with the run's [bundle/policy] tag.
+    // The one stderr line names the cap and the run's progress, and
+    // starts with the run's [bundle/policy] tag on either path.
     auto expectOneWarning = [](const std::string &err, const RunStats &st,
                                const std::string &start) {
         EXPECT_FALSE(st.completed);
@@ -362,7 +362,7 @@ TEST(PoolTest, TruncatedRunWarnsOnceWithCapAndProgress)
     testing::internal::CaptureStderr();
     const RunResult direct = capped.run(b, "PACT", 0.5);
     expectOneWarning(testing::internal::GetCapturedStderr(), direct.stats,
-                     "run cut short");
+                     "[tiny-chase/PACT] ");
 
     testing::internal::CaptureStderr();
     const std::vector<RunOutcome> pooled =

@@ -654,6 +654,34 @@ TEST(RobustnessTest, WatchedRunUnderBudgetIsIdenticalToUnwatched)
 }
 
 // ---------------------------------------------------------------------
+// No environment input to the simulation
+// ---------------------------------------------------------------------
+
+TEST(RobustnessTest, FaultAndAuditEnvVarsLeaveRunsUnchanged)
+{
+    // Only SimConfig::faults/audit (the CLI's --faults/--audit) arm
+    // injection and the auditor, so no shell variable can change a
+    // run's results, its DRAM-only baseline included.
+    const WorkloadBundle b = tinyBundle();
+    auto manifest = [&b] {
+        Runner runner;
+        obs::RunManifest m;
+        m.config = runner.config();
+        m.results.push_back(manifestResult(runner.run(b, "PACT", 0.4)));
+        std::ostringstream os;
+        obs::writeRunManifest(os, m);
+        return os.str();
+    };
+    const std::string want = manifest();
+    setenv("PACT_FAULTS", "migabort:p=0.5;pebsdrop:p=0.2", 1);
+    setenv("PACT_AUDIT", "1", 1);
+    const std::string got = manifest();
+    unsetenv("PACT_FAULTS");
+    unsetenv("PACT_AUDIT");
+    EXPECT_EQ(got, want);
+}
+
+// ---------------------------------------------------------------------
 // Invariant auditor
 // ---------------------------------------------------------------------
 
