@@ -10,7 +10,6 @@
  *   pact_inspect diff a.json b.json [--all]    stat-by-stat diff with
  *                                              per-tenant breakdowns
  *   pact_inspect explain events.jsonl <page>   a page's provenance
- *   pact_inspect --explain <page> events.jsonl (flag spelling)
  *
  * "explain" reconstructs the full decision chain for one page from a
  * pact.events/2 journal: every PEBS sample, the bin the policy put it
@@ -58,7 +57,6 @@ usage()
         "      stat-by-stat diff (machine + per-tenant sections);\n"
         "      only changed stats unless --all\n"
         "  pact_inspect explain <events.jsonl> <page>\n"
-        "  pact_inspect --explain <page> <events.jsonl>\n"
         "      reconstruct one page's decision provenance chain,\n"
         "      including its migration-transaction lifecycle\n"
         "      (abort reason, retry attempts, commit)\n");
@@ -490,10 +488,6 @@ inspectMain(int argc, char **argv)
     if (cmd == "explain") {
         fatal_if(argc != 4, "explain takes an events journal and a page");
         return cmdExplain(argv[2], parsePage(argv[3]));
-    }
-    if (cmd == "--explain") {
-        fatal_if(argc != 4, "--explain takes a page and an events journal");
-        return cmdExplain(argv[3], parsePage(argv[2]));
     }
     usage();
     return 1;

@@ -10,10 +10,13 @@
  *   pactsim_cli --list
  */
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -165,6 +168,24 @@ splitCsv(const std::string &csv)
     return out;
 }
 
+/**
+ * Parse @p v, the value of @p flag, as a plain decimal count: digits
+ * only (no sign, suffix or exponent) and at most @p max. Anything else
+ * is fatal, naming the flag, before any workload is built.
+ */
+std::uint64_t
+parseCount(const std::string &flag, const char *v,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    fatal_if(v[0] < '0' || v[0] > '9' || *end != '\0' || errno == ERANGE ||
+                 n > max,
+             flag, " expects a non-negative integer, got '", v, "'");
+    return n;
+}
+
 int
 cliMain(int argc, char **argv)
 {
@@ -200,21 +221,26 @@ cliMain(int argc, char **argv)
             fatal_if(std::sscanf(next(), "%d:%d", &fast, &slow) != 2,
                      "--ratio expects f:s");
         } else if (arg == "--scale") {
-            opt.scale = std::atof(next());
+            const char *v = next();
+            char *end = nullptr;
+            opt.scale = std::strtod(v, &end);
+            fatal_if(end == v || *end != '\0' || !std::isfinite(opt.scale) ||
+                         opt.scale <= 0.0,
+                     "--scale expects a finite number > 0, got '", v, "'");
         } else if (arg == "--thp") {
             opt.thp = true;
         } else if (arg == "--pebs-rate") {
-            cfg.pebs.rate = std::strtoull(next(), nullptr, 10);
+            cfg.pebs.rate = parseCount(arg, next());
         } else if (arg == "--period") {
-            cfg.daemonPeriod = std::strtoull(next(), nullptr, 10);
+            cfg.daemonPeriod = parseCount(arg, next());
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = parseCount(arg, next());
             cfg.seed = opt.seed;
         } else if (arg == "--faults") {
             cfg.faults = next();
         } else if (arg == "--retries") {
-            cfg.migration.txnMaxRetries =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+            cfg.migration.txnMaxRetries = static_cast<unsigned>(parseCount(
+                arg, next(), std::numeric_limits<unsigned>::max()));
         } else if (arg == "--audit") {
             cfg.audit = true;
         } else if (arg == "--trace-dir") {
@@ -223,8 +249,8 @@ cliMain(int argc, char **argv)
             tenantsMode = true;
             const char *v = nextOr("");
             if (v[0] != '\0')
-                tenantCount =
-                    static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+                tenantCount = static_cast<unsigned>(parseCount(
+                    arg, v, std::numeric_limits<unsigned>::max()));
         } else if (arg == "--sweep") {
             sweep = true;
         } else if (arg == "--policies") {

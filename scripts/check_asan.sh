@@ -51,6 +51,12 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_tier_manager"
 
+# The PAC table's probe loop, growth re-probe and occupied-slot index
+# (sorted tail merged into the prefix on each walk) all index the SoA
+# field arrays by raw slot number.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    "$build/tests/test_pac_table"
+
 # Multi-tenant engine with 4 tenants on shared tiers: per-tenant
 # PEBS/PMU/daemon state plus the flat core array is exactly the kind
 # of ownership split where a stale reference would hide.

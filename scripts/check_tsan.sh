@@ -1,6 +1,6 @@
 #!/bin/sh
 # Build with -DPACT_SANITIZE=thread and run the harness tests that
-# exercise the parallel sweep API, so data races in the thread pool /
+# exercise the parallel sweep API, so data races in parallelFor /
 # Runner baseline cache are caught before they land. Skips (exit 0)
 # when the toolchain has no usable TSan runtime, so it is safe to call
 # unconditionally from CI.

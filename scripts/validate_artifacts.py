@@ -19,7 +19,9 @@ flags, then checks:
     matching the header's distribution list (pact.timeseries/2);
   * the Chrome trace parses and every event is well-formed;
   * the JSONL and manifest artifacts are byte-identical between
-    PACT_JOBS=1 and PACT_JOBS=4 (the determinism guarantee).
+    PACT_JOBS=1 and PACT_JOBS=4 (the determinism guarantee);
+  * malformed numeric flag values (--scale abc, --seed -3, ...) make
+    pactsim_cli exit 1 with a message naming the flag.
 
 A decision-provenance mode rides along:
 
@@ -28,7 +30,7 @@ A decision-provenance mode rides along:
     (schema, seq/cycle monotonicity, per-kind payload keys, PACT_JOBS
     byte-identity) and that the trace's per-page migration slices
     balance; with --inspect it then drives the pact_inspect reader,
-    including --explain on a promoted page's full provenance chain.
+    including explain on a promoted page's full provenance chain.
 
 A multi-tenant mode rides along:
 
@@ -130,6 +132,36 @@ def run_poisoned_sweep(cli, outdir, jobs, workload, scale):
         sys.stderr.write(proc.stdout + proc.stderr)
         sys.exit(f"poisoned sweep failed with exit code {proc.returncode}")
     return path
+
+
+# Numeric CLI flags with malformed values: each must be refused with
+# exit 1 and a message naming the flag, before any workload is built.
+BAD_FLAG_VALUES = (
+    ("--scale", "abc"),
+    ("--scale", "0"),
+    ("--seed", "-3"),
+    ("--retries", "zz"),
+    ("--period", "1e6x"),
+    ("--pebs-rate", "64k"),
+)
+
+
+def validate_bad_flags(cli):
+    print("numeric flags: malformed values fail loudly")
+    for flag, value in BAD_FLAG_VALUES:
+        # A small gups base run, so a CLI that accepted the value
+        # anyway finishes quickly and fails the check instead of
+        # running a full-size workload.
+        cmd = [cli, "--workload", "gups", "--scale", "0.05", flag, value]
+        print(f"+ {' '.join(cmd)}")
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  timeout=300)
+            rc, err = proc.returncode, proc.stderr
+        except subprocess.TimeoutExpired:
+            rc, err = None, ""
+        check(rc == 1 and flag in err,
+              f"{flag} {value} exits 1 naming {flag} (exit {rc})")
 
 
 def validate_manifest(path):
@@ -719,24 +751,24 @@ def validate_inspect_e2e(inspect, manifest, events_path, page):
     rc, out = run_inspect(inspect, ["diff", manifest, manifest])
     check(rc == 0 and "0 differing stat(s)" in out,
           "self-diff reports zero differing stats")
-    rc, out = run_inspect(inspect, ["--explain", page, events_path])
+    rc, out = run_inspect(inspect, ["explain", events_path, page])
     chain_ok = all(k in out for k in
                    ("bin_assign", "promote_enqueue", "txn_prepare",
                     "txn_commit", "pac=", "bin="))
     check(rc == 0 and chain_ok,
-          f"--explain reconstructs page {page}'s provenance chain")
+          f"explain reconstructs page {page}'s provenance chain")
 
 
 def validate_inspect_txn(inspect, events_path, page):
-    """--explain on an aborted-then-retried page must render the
+    """explain on an aborted-then-retried page must render the
     transaction lifecycle: the abort with its reason, the retry with
     its attempt count, and the eventual commit."""
-    rc, out = run_inspect(inspect, ["--explain", page, events_path])
+    rc, out = run_inspect(inspect, ["explain", events_path, page])
     arc_ok = all(k in out for k in
                  ("txn_abort", "txn_retry", "txn_commit", "reason=",
                   "attempt="))
     check(rc == 0 and arc_ok,
-          f"--explain renders page {page}'s abort/retry/commit arc")
+          f"explain renders page {page}'s abort/retry/commit arc")
 
 
 def validate_events_e2e(cli, inspect, tmp, scale):
@@ -855,6 +887,8 @@ def main():
         validate_poisoned_sweep(p1)
         check(p1.read_bytes() == p4.read_bytes(),
               "poisoned-sweep manifest byte-identical across job counts")
+
+    validate_bad_flags(args.cli)
 
     if failures:
         print(f"\n{len(failures)} check(s) failed")

@@ -1,9 +1,13 @@
 #include "common/pool.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -23,75 +27,6 @@ envJobs(unsigned deflt)
     return deflt == 0 ? 1 : deflt;
 }
 
-ThreadPool::ThreadPool(unsigned workers)
-{
-    if (workers == 0)
-        workers = envJobs();
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; i++) {
-        // Tag each worker's log output so warn() lines from
-        // concurrent runs stay attributable.
-        threads_.emplace_back([this, i] {
-            setLogTag("w" + std::to_string(i));
-            workerLoop();
-        });
-    }
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        panic_if(stopping_, "ThreadPool: submit after shutdown");
-        queue_.push_back(std::move(task));
-        inFlight_++;
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(
-                lock, [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // stopping, queue drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            inFlight_--;
-            if (inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
-}
-
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
             unsigned jobs)
@@ -102,7 +37,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
     if (jobs > n)
         jobs = static_cast<unsigned>(n);
 
-    // Exceptions never escape into a pool worker (that would
+    // Exceptions never escape into a worker thread (that would
     // std::terminate); each is captured here and the one from the
     // lowest iteration index is rethrown once every iteration ran, so
     // the propagated error is the same at any job count. The serial
@@ -127,10 +62,20 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
         for (std::size_t i = 0; i < n; i++)
             guarded(i);
     } else {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < n; i++)
-            pool.submit([&guarded, i] { guarded(i); });
-        pool.wait();
+        std::atomic<std::size_t> next{0};
+        std::vector<std::thread> workers;
+        workers.reserve(jobs);
+        for (unsigned w = 0; w < jobs; w++) {
+            workers.emplace_back([&, w] {
+                // Tag each worker's log output so warn() lines from
+                // concurrent runs stay attributable.
+                setLogTag("w" + std::to_string(w));
+                for (std::size_t i = next++; i < n; i = next++)
+                    guarded(i);
+            });
+        }
+        for (std::thread &t : workers)
+            t.join();
     }
     if (firstError)
         std::rethrow_exception(firstError);

@@ -1,23 +1,17 @@
 /**
  * @file
- * Shared thread pool primitives: a fixed-size worker pool over a task
- * queue, a deterministic parallelFor, and the PACT_JOBS environment
- * knob. Lives in common/ so both the experiment harness (fanning out
- * independent runs) and the workload generators (fanning out trace
- * generation chunks) can use the same machinery without a library
+ * Shared parallel primitive: a deterministic parallelFor and the
+ * PACT_JOBS environment knob. Lives in common/ so both the experiment
+ * harness (fanning out independent runs) and the workload generators
+ * (fanning out trace generation chunks) can use it without a library
  * cycle.
  */
 
 #ifndef PACT_COMMON_POOL_HH
 #define PACT_COMMON_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace pact
 {
@@ -30,64 +24,12 @@ namespace pact
 unsigned envJobs(unsigned deflt = 0);
 
 /**
- * A fixed-size worker pool over a shared task queue. Tasks are
- * drained in submission order by whichever worker frees up first
- * (dynamic scheduling); wait() blocks until the queue is empty and
- * all workers are idle.
- *
- * Nesting / oversubscription policy: pools compose by construction
- * rather than by sharing. Every ThreadPool owns its workers outright
- * — there is no global pool, no work stealing across pools, and a
- * worker never re-enters the scheduler while running a task. A task
- * running on one pool may therefore construct and drive another pool
- * (a parallelFor reached from a PACT_JOBS worker does exactly this:
- * seedSweep's per-seed workers each generate their own bundle, and
- * trace generation fans out through its own parallelFor): the inner
- * pool's threads are new OS threads, so an outer worker blocked in
- * inner wait() can never deadlock the inner pool — the inner workers
- * do not depend on any outer-pool resource. The cost is deliberate
- * oversubscription: J outer workers each driving a G-job inner
- * parallelFor hold up to J*(G+1) threads alive, and the kernel
- * time-slices them. That trades some scheduling overhead for a
- * guarantee we care about more: determinism and liveness never depend
- * on a thread budget. Callers who want to bound the total should pass
- * the inner parallelFor an explicit job count, not expect the pools to
- * negotiate.
- */
-class ThreadPool
-{
-  public:
-    /** @param workers Worker count; 0 selects envJobs(). */
-    explicit ThreadPool(unsigned workers = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a task. Never blocks. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished. */
-    void wait();
-
-    unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> threads_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable workReady_;
-    std::condition_variable allDone_;
-    std::size_t inFlight_ = 0;
-    bool stopping_ = false;
-};
-
-/**
  * Run fn(0..n-1) across @p jobs workers (0 selects envJobs()). With
  * one job the calls happen inline on the calling thread, in order —
- * exactly the pre-parallel behavior. Iterations must be independent.
+ * exactly the pre-parallel behavior. Otherwise min(jobs, n) fresh
+ * threads (log tags w0, w1, ...) take indices from a shared counter
+ * in ascending order, whichever frees up first (dynamic scheduling).
+ * Iterations must be independent.
  *
  * Exception semantics: an exception escaping @p fn does NOT terminate
  * and does NOT cancel other iterations — every index still runs (so
@@ -96,6 +38,16 @@ class ThreadPool
  * on the calling thread. The lowest-index rule makes the propagated
  * error independent of worker scheduling, preserving the harness's
  * any-job-count determinism.
+ *
+ * Nesting: every call starts its own threads and the caller only
+ * joins them, so an fn that itself calls parallelFor (seedSweep's
+ * per-seed workers each generating their own bundle, whose trace
+ * generation fans out again) can never deadlock — the inner workers
+ * depend on no outer thread. The cost is deliberate oversubscription:
+ * J outer workers each driving a G-job inner call hold up to J*(G+1)
+ * threads alive, and the kernel time-slices them. Determinism and
+ * liveness never depend on a thread budget; callers who want to bound
+ * the total pass the inner call an explicit job count.
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
                  unsigned jobs = 0);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel experiment harness: a small thread pool plus helpers that
- * fan independent (bundle, policy, share) runs out across cores. Every
+ * Parallel experiment harness: helpers that use parallelFor to fan
+ * independent (bundle, policy, share) runs out across cores. Every
  * run owns its Engine and RNG, so results are bit-identical regardless
  * of worker count; PACT_JOBS controls the default fan-out
  * (hardware_concurrency when unset, 1 preserving fully serial
@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-// ThreadPool/parallelFor/envJobs moved to common/ so the workload
-// generators can share them; re-exported here for existing users.
 #include "common/pool.hh"
 #include "harness/runner.hh"
 

@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -322,12 +323,18 @@ Runner::run(const WorkloadBundle &bundle, const std::string &policy_name,
 std::uint64_t
 envRunTimeoutMs()
 {
-    if (const char *s = std::getenv("PACT_RUN_TIMEOUT_MS")) {
-        const long long v = std::atoll(s);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return 0;
+    const char *s = std::getenv("PACT_RUN_TIMEOUT_MS");
+    if (!s)
+        return 0;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    throw_config_if(s[0] < '0' || s[0] > '9' || *end != '\0' ||
+                        errno == ERANGE,
+                    "PACT_RUN_TIMEOUT_MS='", s,
+                    "' is not a whole number of milliseconds (0 "
+                    "disables the budget)");
+    return v;
 }
 
 double

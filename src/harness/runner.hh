@@ -225,6 +225,9 @@ double envScale(double deflt = 1.0);
  * single chunk that never returns cannot be interrupted. Runs that
  * finish under the budget are bit-identical to unwatched runs — the
  * simulation depends only on simulated time.
+ *
+ * @throws ConfigError when PACT_RUN_TIMEOUT_MS is set but is not a
+ *         plain decimal count of milliseconds.
  */
 std::uint64_t envRunTimeoutMs();
 

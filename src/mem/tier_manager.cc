@@ -111,13 +111,6 @@ TierManager::place(PageId page, TierId tier)
     used_[tierIndex(tier)]++;
     m.tier = static_cast<std::uint8_t>(tier);
     setSlowBit(page, tier == TierId::Slow);
-
-    // Publish the tier change to ring consumers. A same-tier place is
-    // not recorded above: it changes nothing a consumer could index.
-    if (placeRing_.empty())
-        placeRing_.resize(PlaceRingCap);
-    placeRing_[placeSeq_ & (PlaceRingCap - 1)] = page;
-    placeSeq_++;
 }
 
 void

@@ -117,37 +117,6 @@ class TierManager
      */
     void place(PageId page, TierId tier);
 
-    // --- place-event ring ------------------------------------------
-    // Every tier change funnels through place(), so policies can keep
-    // per-tier candidate indexes incremental by polling the ring
-    // instead of rescanning their tracked set each daemon window.
-    // Consumers hold their own cursor; on overflow (more places than
-    // the ring holds since the last poll) visitPlaces reports false
-    // and the consumer falls back to a full rebuild.
-
-    /** Sequence number of the next place event. */
-    std::uint64_t placeSeq() const { return placeSeq_; }
-
-    /**
-     * Visit the page id of every place event since @p from (advanced
-     * to the current sequence). Returns false — visiting nothing —
-     * when the ring has wrapped past @p from.
-     */
-    template <typename F>
-    bool
-    visitPlaces(std::uint64_t &from, F &&fn) const
-    {
-        const std::uint64_t to = placeSeq_;
-        if (to - from > PlaceRingCap) {
-            from = to;
-            return false;
-        }
-        for (std::uint64_t s = from; s < to; s++)
-            fn(placeRing_[s & (PlaceRingCap - 1)]);
-        from = to;
-        return true;
-    }
-
     // --- hint-arming index -----------------------------------------
     // Two bit-per-page indexes let the NUMA-hint scanner arm a batch
     // one 64-page word at a time instead of probing pages one by one.
@@ -312,9 +281,6 @@ class TierManager
     void releaseShadow(PageId base, std::uint64_t pages, TierId dst,
                        const char *what);
 
-    /** Place-event ring capacity (power of two). */
-    static constexpr std::uint64_t PlaceRingCap = 1ull << 16;
-
     std::vector<PageMeta> meta_;
     /** Optional per-page first-touch override tier (0xff = none). */
     std::vector<std::uint8_t> firstTouchOverride_;
@@ -324,9 +290,6 @@ class TierManager
     std::vector<std::uint64_t> slowBits_;
     /** Bit per page: set only if the page carries HintArmed. */
     std::vector<std::uint64_t> armedBits_;
-    /** Circular buffer of place() page ids (lazily allocated). */
-    std::vector<PageId> placeRing_;
-    std::uint64_t placeSeq_ = 0;
     std::uint64_t fastCapacity_;
     std::array<std::uint64_t, NumTiers> used_ = {0, 0};
     /** Frames reserved by open shadow regions, per tier. */

@@ -39,7 +39,6 @@ PacTable::PacTable(std::size_t initial_capacity)
     freq_.assign(cap, 0);
     lastSample_.assign(cap, 0);
     lastPromote_.assign(cap, 0);
-    markWords_.assign((cap + 63) / 64, 0);
     mask_ = cap - 1;
 }
 
@@ -57,13 +56,11 @@ PacTable::grow()
     AlignedVec<std::uint32_t> oldFreq;
     AlignedVec<std::uint64_t> oldLastSample;
     AlignedVec<std::uint32_t> oldLastPromote;
-    AlignedVec<std::uint64_t> oldMarks;
     oldKeys.swap(keys_);
     oldPac.swap(pac_);
     oldFreq.swap(freq_);
     oldLastSample.swap(lastSample_);
     oldLastPromote.swap(lastPromote_);
-    oldMarks.swap(markWords_);
 
     const std::size_t cap = oldKeys.size() * 2;
     keys_.assign(cap, PacEntry::EmptyKey);
@@ -71,7 +68,6 @@ PacTable::grow()
     freq_.assign(cap, 0);
     lastSample_.assign(cap, 0);
     lastPromote_.assign(cap, 0);
-    markWords_.assign((cap + 63) / 64, 0);
     mask_ = cap - 1;
 
     for (std::size_t i = 0; i < oldKeys.size(); i++) {
@@ -86,28 +82,30 @@ PacTable::grow()
         freq_[j] = oldFreq[i];
         lastSample_[j] = oldLastSample[i];
         lastPromote_[j] = oldLastPromote[i];
-        if (oldMarks[i >> 6] & (1ull << (i & 63)))
-            markWords_[j >> 6] |= 1ull << (j & 63);
     }
 
     // Slot numbers changed wholesale: rebuild the occupied index in
-    // ascending slot order with one array scan (the mark bitmap was
-    // re-derived alongside the re-probe above).
+    // ascending slot order with one array scan.
     occupied_.clear();
     for (std::size_t i = 0; i < cap; i++) {
         if (keys_[i] != PacEntry::EmptyKey)
             occupied_.push_back(static_cast<std::uint32_t>(i));
     }
-    occupiedDirty_ = false;
+    occupiedSorted_ = occupied_.size();
 }
 
 void
 PacTable::ensureOccupiedSorted() const
 {
-    if (!occupiedDirty_)
+    if (occupiedSorted_ == occupied_.size())
         return;
-    std::sort(occupied_.begin(), occupied_.end());
-    occupiedDirty_ = false;
+    // Only the slots inserted since the last walk are out of place:
+    // sort that tail and merge it into the sorted prefix.
+    const auto mid =
+        occupied_.begin() + static_cast<std::ptrdiff_t>(occupiedSorted_);
+    std::sort(mid, occupied_.end());
+    std::inplace_merge(occupied_.begin(), mid, occupied_.end());
+    occupiedSorted_ = occupied_.size();
 }
 
 PacTable::Ref
@@ -123,10 +121,6 @@ PacTable::touch(PageId page, bool *inserted)
         if (k == PacEntry::EmptyKey) {
             keys_[i] = page;
             size_++;
-            if (!occupied_.empty() &&
-                occupied_.back() > static_cast<std::uint32_t>(i)) {
-                occupiedDirty_ = true;
-            }
             occupied_.push_back(static_cast<std::uint32_t>(i));
             if (inserted)
                 *inserted = true;
@@ -180,10 +174,8 @@ PacTable::clear()
     std::fill(freq_.begin(), freq_.end(), 0u);
     std::fill(lastSample_.begin(), lastSample_.end(), 0ull);
     std::fill(lastPromote_.begin(), lastPromote_.end(), 0u);
-    std::fill(markWords_.begin(), markWords_.end(), 0);
     occupied_.clear();
-    occupiedDirty_ = false;
-    markedCount_ = 0;
+    occupiedSorted_ = 0;
     size_ = 0;
 }
 

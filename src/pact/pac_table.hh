@@ -12,17 +12,15 @@
  * array-of-structs layout did. A maintained dense occupied-slot index
  * lets forEach visit exactly the live entries — in ascending slot
  * order, i.e. byte-identical iteration order to walking the raw slot
- * array — instead of scanning empty capacity. Candidate marks live in
- * a per-slot bitmap whose word scan yields the marked sweep in
- * ascending slot order with no sorting or compaction, so mark churn
- * every daemon window costs O(1) per transition plus O(capacity/64)
- * per sweep (see PactPolicy's incremental slow-tier index).
+ * array — instead of scanning empty capacity. Inserts append to the
+ * index; a walk sorts only the slots appended since the previous walk
+ * and merges them into the sorted prefix. PactPolicy's promotion walk
+ * filters this sequence down to the slow-tier pages each window.
  */
 
 #ifndef PACT_PACT_PAC_TABLE_HH
 #define PACT_PACT_PAC_TABLE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <new>
 #include <vector>
@@ -216,89 +214,19 @@ class PacTable
             fn(Ref(this, s));
     }
 
-    // --- candidate marks -------------------------------------------
-    // One mark bit per slot, stored as a word bitmap. Marks survive
-    // grow (slots are re-derived) and are dropped by clear().
-
-    /** Mark a live entry (no-op when already marked). */
-    void
-    setMarked(const Ref &r)
-    {
-        std::uint64_t &w = markWords_[r.i_ >> 6];
-        const std::uint64_t bit = 1ull << (r.i_ & 63);
-        if (w & bit)
-            return;
-        w |= bit;
-        markedCount_++;
-    }
-
-    /** Unmark a live entry (no-op when not marked). */
-    void
-    clearMarked(const Ref &r)
-    {
-        std::uint64_t &w = markWords_[r.i_ >> 6];
-        const std::uint64_t bit = 1ull << (r.i_ & 63);
-        if (!(w & bit))
-            return;
-        w &= ~bit;
-        markedCount_--;
-    }
-
-    bool
-    marked(const Ref &r) const
-    {
-        return markWords_[r.i_ >> 6] & (1ull << (r.i_ & 63));
-    }
-
-    /** Currently marked entries. */
-    std::size_t markedCount() const { return markedCount_; }
-
-    /** Drop every mark. */
-    void
-    clearMarks()
-    {
-        std::fill(markWords_.begin(), markWords_.end(), 0);
-        markedCount_ = 0;
-    }
-
-    /**
-     * Visit every marked entry in ascending slot order — the same
-     * sequence a filtered full-slot walk would produce, which the
-     * golden corpus depends on (the candidate list feeds an unstable
-     * sort whose tie permutation is input-order-sensitive). Mark
-     * changes made by @p fn to slots inside the word currently being
-     * drained are not observed by this sweep.
-     */
-    template <typename F>
-    void
-    forEachMarked(F &&fn)
-    {
-        for (std::size_t w = 0; w < markWords_.size(); w++) {
-            std::uint64_t bits = markWords_[w];
-            while (bits) {
-                const std::size_t s =
-                    (w << 6) + static_cast<std::size_t>(
-                                   __builtin_ctzll(bits));
-                bits &= bits - 1;
-                fn(Ref(this, s));
-            }
-        }
-    }
-
     /** Tracked page count. */
     std::size_t size() const { return size_; }
 
-    /** Remove all entries (marks included). */
+    /** Remove all entries. */
     void clear();
 
     /**
      * Bytes per tracked page across the parallel arrays: 28 bytes of
-     * key+value fields plus the mark bit, an eighth of a byte in the
-     * bitmap, counted here as one (the paper claims ~25B).
+     * key+value fields (the paper claims ~25B).
      */
     static constexpr std::size_t entryBytes =
         sizeof(PageId) + sizeof(float) + sizeof(std::uint32_t) +
-        sizeof(std::uint64_t) + sizeof(std::uint32_t) + 1;
+        sizeof(std::uint64_t) + sizeof(std::uint32_t);
 
   private:
     std::size_t slot(PageId page) const;
@@ -317,11 +245,9 @@ class PacTable
      * erased outside clear()/grow(), so no compaction is needed.
      */
     mutable std::vector<std::uint32_t> occupied_;
-    mutable bool occupiedDirty_ = false;
-
-    /** Mark bitmap, one bit per slot ((capacity + 63) / 64 words). */
-    AlignedVec<std::uint64_t> markWords_;
-    std::size_t markedCount_ = 0;
+    /** Length of occupied_'s sorted prefix; later entries are the
+     *  slots inserted since the last walk. */
+    mutable std::size_t occupiedSorted_ = 0;
 
     std::size_t size_ = 0;
     std::size_t mask_ = 0;

@@ -100,9 +100,6 @@ PactPolicy::start(SimContext &ctx)
                 : static_cast<double>(
                       ctx.tiers[tierIndex(TierId::Slow)]->latency());
     snap_.take(ctx.pmu);
-    // A reused policy may carry marks describing a previous engine's
-    // TierManager; force a rebuild on the first migrate of this run.
-    indexedTm_ = nullptr;
 }
 
 double
@@ -111,84 +108,6 @@ PactPolicy::rankOf(float pac, std::uint32_t freq) const
     return cfg_.rank == RankMode::Criticality
                ? static_cast<double>(pac)
                : static_cast<double>(freq);
-}
-
-void
-PactPolicy::classifyNew(const SimContext &ctx, PacTable::Ref e)
-{
-    // Freshly inserted table entry: file it in the candidate index.
-    // Pages the TierManager has never materialized (wrap-fault PEBS
-    // strays) produce no place events when they do materialize, so
-    // they go on a small recheck list instead.
-    const PageId p = e.page();
-    if (!ctx.tm.touched(p)) {
-        pendingUntouched_.push_back(p);
-        return;
-    }
-    if (ctx.tm.tierOf(p) == TierId::Slow)
-        table_.setMarked(e);
-}
-
-void
-PactPolicy::rebuildCandidateIndex(const SimContext &ctx)
-{
-    indexedTm_ = &ctx.tm;
-    placeCursor_ = ctx.tm.placeSeq();
-    table_.clearMarks();
-    pendingUntouched_.clear();
-    table_.forEachRef([&](PacTable::Ref e) { classifyNew(ctx, e); });
-    selectCycles_.inc(table_.size());
-}
-
-void
-PactPolicy::syncCandidateIndex(const SimContext &ctx)
-{
-    if (indexedTm_ != &ctx.tm) {
-        rebuildCandidateIndex(ctx);
-        return;
-    }
-    // Apply tier changes since the last window. Events are applied by
-    // re-reading the page's *current* tier, so replaying an event that
-    // later events (or insert-time classification) already reflect is
-    // a no-op — the ring never needs deduplication.
-    std::uint64_t polled = 0;
-    const bool intact =
-        ctx.tm.visitPlaces(placeCursor_, [&](PageId p) {
-            polled++;
-            // A shared TierManager interleaves every tenant's place
-            // events; pages outside this policy's insert range are
-            // untracked by construction, so findTracked skips the
-            // probe. (polled still counts them — the modeled work
-            // unit is ring events examined, filter or not.)
-            PacTable::Ref e = findTracked(p);
-            if (!e)
-                return;
-            if (ctx.tm.tierOf(p) == TierId::Slow)
-                table_.setMarked(e);
-            else
-                table_.clearMarked(e);
-        });
-    selectCycles_.inc(polled);
-    if (!intact) {
-        // The ring wrapped past our cursor: more migrations happened
-        // than it holds. Fall back to the always-correct full rescan.
-        rebuildCandidateIndex(ctx);
-        return;
-    }
-    if (!pendingUntouched_.empty()) {
-        selectCycles_.inc(pendingUntouched_.size());
-        std::size_t out = 0;
-        for (const PageId p : pendingUntouched_) {
-            if (!ctx.tm.touched(p)) {
-                pendingUntouched_[out++] = p;
-                continue;
-            }
-            PacTable::Ref e = table_.find(p);
-            if (e && ctx.tm.tierOf(p) == TierId::Slow)
-                table_.setMarked(e);
-        }
-        pendingUntouched_.resize(out);
-    }
 }
 
 void
@@ -295,8 +214,6 @@ PactPolicy::attribute(SimContext &ctx)
         if (inserted) {
             pageLo_ = std::min(pageLo_, page);
             pageHi_ = std::max(pageHi_, page);
-            if (indexedTm_ == &ctx.tm)
-                classifyNew(ctx, e);
         }
         const double pacBefore = static_cast<double>(e.pac());
 
@@ -339,24 +256,24 @@ void
 PactPolicy::migrate(SimContext &ctx)
 {
     // Bin every tracked slow-tier page; the priority bin is the
-    // highest non-empty one. The candidate index replaces the old
-    // full-table rescan: marked entries are exactly the tracked,
-    // slow-tier-resident pages, visited in ascending slot order — the
-    // same sequence (and therefore the same unstable-sort tie
-    // permutation downstream) as filtering a raw slot walk.
-    syncCandidateIndex(ctx);
-
+    // highest non-empty one. The walk goes in ascending slot order,
+    // which fixes the unstable candidate sort's tie permutation below
+    // (the golden corpus pins it). Pages the TierManager has not
+    // materialized (wrap-fault PEBS strays) are not candidates.
     ranked_.clear();
     bins_.clear();
     std::uint32_t topBin = 0;
-    table_.forEachMarked([&](PacTable::Ref e) {
+    table_.forEachRef([&](PacTable::Ref e) {
+        const PageId p = e.page();
+        if (!ctx.tm.touched(p) || ctx.tm.tierOf(p) != TierId::Slow)
+            return;
         const double rv = rankOf(e.pac(), e.freq());
         const std::uint32_t b = binning_.binOf(rv);
-        ranked_.emplace_back(rv, e.page());
+        ranked_.emplace_back(rv, p);
         bins_.push_back(b);
         topBin = std::max(topBin, b);
     });
-    selectCycles_.inc(ranked_.size());
+    selectCycles_.inc(table_.size());
     if (ranked_.empty()) {
         promoSeries_.push_back({ctx.now, 0.0});
         return;
@@ -523,8 +440,6 @@ PactPolicy::migrate(SimContext &ctx)
             if (inserted) {
                 pageLo_ = std::min(pageLo_, key);
                 pageHi_ = std::max(pageHi_, key);
-                if (indexedTm_ == &ctx.tm)
-                    classifyNew(ctx, e);
             }
             e.lastPromote() = tickNo_;
         }

@@ -188,9 +188,6 @@ class PactPolicy : public TieringPolicy
             return PacTable::Ref();
         return table_.find(page);
     }
-    void classifyNew(const SimContext &ctx, PacTable::Ref e);
-    void syncCandidateIndex(const SimContext &ctx);
-    void rebuildCandidateIndex(const SimContext &ctx);
 
     PactConfig cfg_;
     PacTable table_;
@@ -215,23 +212,10 @@ class PactPolicy : public TieringPolicy
     /** Reused PEBS drain buffer (capacity stabilizes, no realloc). */
     std::vector<PebsRecord> pebsBuf_;
 
-    // Incremental slow-tier candidate index. The PacTable's mark bits
-    // track which tracked pages are slow-tier-resident; the index is
-    // kept current by polling the TierManager's place-event ring plus
-    // classifying entries at insert, instead of rescanning the whole
-    // table each daemon window. indexedTm_ identifies the TierManager
-    // the marks describe (reset at start(); rebuilt on mismatch or
-    // ring overflow).
-    const TierManager *indexedTm_ = nullptr;
-    /** Place-ring cursor (next unseen place event). */
-    std::uint64_t placeCursor_ = 0;
-    /** Tracked pages not yet materialized in the TierManager (wrap-
-     *  fault strays); re-checked each window until they appear. */
-    std::vector<PageId> pendingUntouched_;
-    /** Inclusive page-id range ever inserted into the table. Place
-     *  events outside it cannot name a tracked page, so the ring poll
-     *  skips the table probe — on a shared TierManager most events
-     *  are other tenants' pages (disjoint AddrSpace allocations). */
+    /** Inclusive page-id range ever inserted into the table. Pages
+     *  outside it cannot be tracked, so findTracked skips the table
+     *  probe — on a shared TierManager most LRU victims are other
+     *  tenants' pages (disjoint AddrSpace allocations). */
     PageId pageLo_ = ~0ull;
     PageId pageHi_ = 0;
 
@@ -265,14 +249,14 @@ class PactPolicy : public TieringPolicy
     obs::Distribution pacDist_;
 
     // Per-phase daemon work counters, in deterministic modeled work
-    // units (samples drained, pages classified, events polled,
+    // units (samples drained, pages classified, tracked pages walked,
     // Algorithm-2 steps, LRU pages examined) — not wall-clock rdtsc,
     // so artifacts stay byte-identical across jobs and the parallel
     // engine. pact.daemon.tick_cycles is defined as their exact sum;
     // validate_artifacts.py asserts that identity.
     /** Attribution-phase work (samples + distinct pages). */
     obs::Counter attributeCycles_;
-    /** Selection-phase work (candidates + ring events + rechecks). */
+    /** Selection-phase work (tracked pages walked + candidates). */
     obs::Counter selectCycles_;
     /** Migration-phase work (Algorithm-2 steps + demotion probes). */
     obs::Counter migrateCycles_;

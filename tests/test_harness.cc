@@ -133,6 +133,24 @@ TEST(Harness, EnvScaleParsesOverrides)
     unsetenv("PACT_SCALE");
 }
 
+TEST(Harness, EnvRunTimeoutParsesOverrides)
+{
+    unsetenv("PACT_RUN_TIMEOUT_MS");
+    EXPECT_EQ(envRunTimeoutMs(), 0u);
+    setenv("PACT_RUN_TIMEOUT_MS", "0", 1);
+    EXPECT_EQ(envRunTimeoutMs(), 0u); // explicitly disabled
+    setenv("PACT_RUN_TIMEOUT_MS", "2500", 1);
+    EXPECT_EQ(envRunTimeoutMs(), 2500u);
+    // Each of these used to disable the watchdog silently.
+    for (const char *bad : {"", "abc", "10ms", "-5", "+5", " 5", "1e3",
+                            "99999999999999999999999"}) {
+        setenv("PACT_RUN_TIMEOUT_MS", bad, 1);
+        EXPECT_THROW(envRunTimeoutMs(), ConfigError)
+            << "PACT_RUN_TIMEOUT_MS=" << bad;
+    }
+    unsetenv("PACT_RUN_TIMEOUT_MS");
+}
+
 TEST(Runner, SoarGetsProfiledAutomatically)
 {
     const WorkloadBundle b = tinyBundle();

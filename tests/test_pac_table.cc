@@ -1,8 +1,8 @@
 /**
  * @file
  * PAC table tests: hash-map semantics, growth, iteration (including
- * the slot-order guarantee and the marked-candidate index), and the
- * paper's per-page footprint claim.
+ * the slot-order guarantee across interleaved inserts and walks), and
+ * the paper's per-page footprint claim.
  */
 
 #include <gtest/gtest.h>
@@ -95,8 +95,7 @@ TEST(PacTable, IterationOrderIsDeterministicAndStable)
     // load-bearing. The guarantee: the order is a pure function of the
     // construction sequence (ascending slot order, pinned end-to-end
     // by the golden corpus), every iteration flavor yields the same
-    // sequence, and read-only traffic (find) and mark churn never
-    // perturb it.
+    // sequence, and read-only traffic (find) never perturbs it.
     auto build = [] {
         PacTable t(64);
         for (PageId p = 0; p < 40; p++)
@@ -123,124 +122,59 @@ TEST(PacTable, IterationOrderIsDeterministicAndStable)
     u.forEach([&](const PacEntry &e) { order2.push_back(e.page); });
     EXPECT_EQ(order, order2);
 
-    // Lookups and mark churn leave the sequence untouched.
+    // Lookups leave the sequence untouched.
     for (PageId p = 0; p < 80; p++)
         (void)t.find(p * 977 + 3);
-    t.forEachRef([&](PacTable::Ref e) { t.setMarked(e); });
-    t.forEachRef([&](PacTable::Ref e) { t.clearMarked(e); });
     std::vector<PageId> order3;
     t.forEach([&](const PacEntry &e) { order3.push_back(e.page); });
     EXPECT_EQ(order, order3);
 }
 
-TEST(PacTable, MarkedIndexTracksAndIteratesInSlotOrder)
+TEST(PacTable, WalksInterleavedWithInsertsStaySorted)
 {
-    PacTable t(64);
-    for (PageId p = 0; p < 30; p++)
-        t.touch(p);
-
-    // Mark every third page.
-    std::set<PageId> marked;
-    t.forEachRef([&](PacTable::Ref e) {
-        if (e.page() % 3 == 0) {
-            t.setMarked(e);
-            marked.insert(e.page());
-        }
-    });
-    EXPECT_EQ(t.markedCount(), marked.size());
-
-    std::vector<PageId> visited;
-    t.forEachMarked(
-        [&](PacTable::Ref e) { visited.push_back(e.page()); });
-    EXPECT_EQ(visited.size(), marked.size());
-
-    // The marked sweep must be the full sweep filtered (same order).
-    std::vector<PageId> expect;
-    t.forEach([&](const PacEntry &e) {
-        if (marked.count(e.page))
-            expect.push_back(e.page);
-    });
-    EXPECT_EQ(visited, expect);
-
-    // Unmark half; re-marking an unmarked-but-listed slot must not
-    // duplicate it.
-    t.forEachRef([&](PacTable::Ref e) {
-        if (e.page() % 6 == 0)
-            t.clearMarked(e);
-    });
-    t.forEachRef([&](PacTable::Ref e) {
-        if (e.page() % 6 == 0)
-            t.setMarked(e);
-    });
-    visited.clear();
-    t.forEachMarked(
-        [&](PacTable::Ref e) { visited.push_back(e.page()); });
-    EXPECT_EQ(visited, expect);
-}
-
-TEST(PacTable, MarksSurviveGrowth)
-{
+    // Inserts append to the occupied-slot index and each walk merges
+    // the new tail into the sorted prefix. Interleave inserts with
+    // walks, across several growths, and check every walk visits
+    // exactly the live entries in ascending slot order. The reference
+    // order comes from a fresh table fed the same inserts and walked
+    // once: same capacity history, so the same slots, with no earlier
+    // walk to merge into.
     PacTable t(16);
-    for (PageId p = 0; p < 10; p++) {
-        PacTable::Ref e = t.touch(p);
-        if (p % 2 == 0)
-            t.setMarked(e);
+    std::vector<PageId> inserted;
+    PageId next = 7;
+    for (int round = 0; round < 40; round++) {
+        for (int k = 0; k <= round % 5; k++) {
+            next = next * 2654435761ull % 1000003;
+            t.touch(next);
+            inserted.push_back(next);
+        }
+        std::vector<PageId> walk;
+        t.forEachRef([&](PacTable::Ref e) { walk.push_back(e.page()); });
+
+        PacTable ref(16);
+        for (const PageId p : inserted)
+            ref.touch(p);
+        std::vector<PageId> expect;
+        ref.forEach([&](const PacEntry &e) { expect.push_back(e.page); });
+        ASSERT_EQ(expect.size(), inserted.size());
+        EXPECT_EQ(walk, expect) << "round " << round;
     }
-    // Push the table through several growths.
-    for (PageId p = 1000; p < 2000; p++)
-        t.touch(p);
-    EXPECT_EQ(t.markedCount(), 5u);
-
-    std::set<PageId> seen;
-    t.forEachMarked([&](PacTable::Ref e) { seen.insert(e.page()); });
-    EXPECT_EQ(seen, (std::set<PageId>{0, 2, 4, 6, 8}));
-
-    // Marked iteration still matches the filtered full sweep.
-    std::vector<PageId> visited;
-    t.forEachMarked(
-        [&](PacTable::Ref e) { visited.push_back(e.page()); });
-    std::vector<PageId> expect;
-    t.forEach([&](const PacEntry &e) {
-        if (seen.count(e.page))
-            expect.push_back(e.page);
-    });
-    EXPECT_EQ(visited, expect);
-}
-
-TEST(PacTable, MarkedChurnLeavesNoResidue)
-{
-    PacTable t(1024);
-    for (PageId p = 0; p < 500; p++)
-        t.touch(p);
-    // Churn: mark and unmark everything repeatedly; the marked sweep
-    // must not retain state per historical mark.
-    for (int round = 0; round < 10; round++) {
-        t.forEachRef([&](PacTable::Ref e) { t.setMarked(e); });
-        t.forEachRef([&](PacTable::Ref e) { t.clearMarked(e); });
-    }
-    EXPECT_EQ(t.markedCount(), 0u);
-    std::vector<PageId> visited;
-    t.forEachMarked(
-        [&](PacTable::Ref e) { visited.push_back(e.page()); });
-    EXPECT_TRUE(visited.empty());
+    EXPECT_GT(t.size(), 16u); // the table grew along the way
 }
 
 TEST(PacTable, ClearEmpties)
 {
     PacTable t;
-    PacTable::Ref e = t.touch(5);
-    t.setMarked(e);
+    t.touch(5);
     t.clear();
     EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.markedCount(), 0u);
     EXPECT_FALSE(t.find(5));
 }
 
 TEST(PacTable, EntryFootprintMatchesPaperClaim)
 {
     // The paper claims ~25 bytes of metadata per tracked 4KB page
-    // (0.6% overhead); our SoA field bytes plus the mark byte must
-    // stay in that regime.
+    // (0.6% overhead); our SoA field bytes must stay in that regime.
     EXPECT_LE(PacTable::entryBytes, 32u);
     EXPECT_LE(static_cast<double>(PacTable::entryBytes) / PageBytes,
               0.01);

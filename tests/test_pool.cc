@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel harness tests: envJobs parsing, ThreadPool draining,
- * parallelFor coverage and serial ordering, parallel-vs-serial
+ * Parallel harness tests: envJobs parsing, parallelFor coverage,
+ * nesting and serial ordering, parallel-vs-serial
  * determinism of runMany/ratioSweep/seedSweep, and the thread safety
  * of the Runner's shared baseline cache. The determinism tests pass
  * explicit job counts so they exercise real concurrency even on a
@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -103,87 +102,43 @@ TEST(EnvJobs, DefaultsAndOverrides)
     unsetenv("PACT_JOBS");
 }
 
-TEST(ThreadPool, DrainsEveryTask)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workers(), 4u);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 200; i++)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(done.load(), 200);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> done{0};
-    pool.submit([&done] { done.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(done.load(), 1);
-    pool.submit([&done] { done.fetch_add(1); });
-    pool.submit([&done] { done.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(done.load(), 3);
-}
-
 /**
- * Nested pools (a parallelFor reached from a PACT_JOBS worker, e.g.
- * per-seed trace generation inside a seed sweep): every outer task
- * constructs and drives its own inner ThreadPool. Must complete without deadlock — inner workers
- * are fresh OS threads, never borrowed from the blocked outer worker
- * — with every inner task running on its own pool's threads and the
- * expected total worker count alive at the peak.
+ * Nested parallelFor (a parallelFor reached from a PACT_JOBS worker,
+ * e.g. per-seed trace generation inside a seed sweep): every outer
+ * iteration drives its own inner call. Must complete without deadlock
+ * — inner workers are fresh OS threads, never the blocked outer
+ * worker — with every inner index running exactly once.
  */
-TEST(ThreadPool, NestedPoolsDrainWithoutDeadlock)
+TEST(ParallelFor, NestedCallsDrainWithoutDeadlock)
 {
     constexpr unsigned kOuter = 4;
     constexpr unsigned kInner = 3;
-    constexpr int kTasksPerInner = 50;
+    constexpr std::size_t kOuterIters = kOuter * 2;
+    constexpr std::size_t kInnerIters = 50;
 
-    ThreadPool outer(kOuter);
-    ASSERT_EQ(outer.workers(), kOuter);
-
-    std::atomic<int> innerDone{0};
-    std::atomic<unsigned> innerWorkerSum{0};
-    std::mutex idsMutex;
-    std::vector<std::thread::id> workerIds; // one entry per task run
-
-    for (unsigned o = 0; o < kOuter * 2; o++) {
-        outer.submit([&] {
-            // The outer worker blocks in inner wait(); liveness must
-            // not depend on it ever re-entering a scheduler.
-            ThreadPool inner(kInner);
-            innerWorkerSum.fetch_add(inner.workers());
+    std::vector<std::atomic<int>> hits(kOuterIters * kInnerIters);
+    std::atomic<int> onOuter{0};
+    parallelFor(
+        kOuterIters,
+        [&](std::size_t o) {
+            // The outer worker blocks joining the inner call; liveness
+            // must not depend on it ever running inner work.
             const std::thread::id outerId = std::this_thread::get_id();
-            for (int t = 0; t < kTasksPerInner; t++) {
-                inner.submit([&, outerId] {
-                    EXPECT_NE(std::this_thread::get_id(), outerId)
-                        << "inner task ran on the blocked outer worker";
-                    {
-                        const std::lock_guard<std::mutex> lock(idsMutex);
-                        workerIds.push_back(std::this_thread::get_id());
-                    }
-                    innerDone.fetch_add(1);
-                });
-            }
-            inner.wait();
-        });
-    }
-    outer.wait();
+            parallelFor(
+                kInnerIters,
+                [&, o, outerId](std::size_t i) {
+                    if (std::this_thread::get_id() == outerId)
+                        onOuter.fetch_add(1);
+                    hits[o * kInnerIters + i].fetch_add(1);
+                },
+                kInner);
+        },
+        kOuter);
 
-    EXPECT_EQ(innerDone.load(), int(kOuter * 2) * kTasksPerInner);
-    // Each of the 8 outer tasks owned a full-size private pool.
-    EXPECT_EQ(innerWorkerSum.load(), kOuter * 2 * kInner);
-    // Total worker-thread count: every inner task ran on one of its
-    // own pool's kInner threads, so at most kOuter*2 pools x kInner
-    // distinct ids appear, and at least one per concurrently-live
-    // pool did real work.
-    std::vector<std::thread::id> uniq = workerIds;
-    std::sort(uniq.begin(), uniq.end());
-    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-    EXPECT_GE(uniq.size(), 1u);
-    EXPECT_LE(uniq.size(), std::size_t(kOuter) * 2 * kInner);
+    EXPECT_EQ(onOuter.load(), 0)
+        << "inner iterations ran on the blocked outer worker";
+    for (std::size_t k = 0; k < hits.size(); k++)
+        EXPECT_EQ(hits[k].load(), 1) << "inner index " << k;
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
