@@ -322,8 +322,9 @@ BENCHMARK(BM_HintArm)
 /**
  * The per-op CPU loop in isolation (no daemon, no migrations): a
  * looping trace of independent loads with compute gaps drives the
- * retire/advance machinery, the event-driven TOR sweep, and the fused
- * page-meta resolve — the costs the hot-path overhaul targets.
+ * retire/advance machinery (a one-compare clock step between TOR
+ * boundaries, the heap sweep and lazy TOR accrual at them) and the
+ * fused page-meta resolve.
  */
 static void
 BM_CpuAdvance(benchmark::State &state)

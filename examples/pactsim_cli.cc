@@ -218,8 +218,19 @@ cliMain(int argc, char **argv)
         } else if (arg == "--policy") {
             policy = next();
         } else if (arg == "--ratio") {
-            fatal_if(std::sscanf(next(), "%d:%d", &fast, &slow) != 2,
-                     "--ratio expects f:s");
+            // Two plain decimal counts, each small enough that their
+            // sum stays an int, and not both zero.
+            const std::string v = next();
+            const std::size_t colon = v.find(':');
+            fatal_if(colon == std::string::npos,
+                     "--ratio expects f:s, got '", v, "'");
+            const std::uint64_t max = std::numeric_limits<int>::max() / 2;
+            fast = static_cast<int>(
+                parseCount(arg, v.substr(0, colon).c_str(), max));
+            slow = static_cast<int>(
+                parseCount(arg, v.substr(colon + 1).c_str(), max));
+            fatal_if(fast + slow == 0,
+                     "--ratio expects f:s with f + s > 0, got '", v, "'");
         } else if (arg == "--scale") {
             const char *v = next();
             char *end = nullptr;
@@ -248,9 +259,12 @@ cliMain(int argc, char **argv)
         } else if (arg == "--tenants") {
             tenantsMode = true;
             const char *v = nextOr("");
-            if (v[0] != '\0')
+            if (v[0] != '\0') {
                 tenantCount = static_cast<unsigned>(parseCount(
                     arg, v, std::numeric_limits<unsigned>::max()));
+                fatal_if(tenantCount == 0,
+                         "--tenants expects a count > 0, got '", v, "'");
+            }
         } else if (arg == "--sweep") {
             sweep = true;
         } else if (arg == "--policies") {

@@ -27,7 +27,10 @@ median) and a verdict:
     none        otherwise
 
 The row also records the seeds, whether every pair's `digest` lines
-were equal, and each side's failed-run share. A row is a regression
+were equal, each side's failed-run share, and in its `host` dict the
+share of the host's CPU time stolen by other guests while the
+workload's pairs ran (`steal_frac`, from /proc/stat; null where that
+file is unreadable, absent in rows written before it was recorded). A row is a regression
 when any metric is, or when the change's failed-run share rose. The
 exit status is 0 once the rows are written, except that a tree paired
 with itself exits 1 unless every digest matched (a self-pair is a
@@ -170,6 +173,30 @@ def judge(parent, change, better, bound):
     }
 
 
+def cpu_ticks():
+    """(steal, total) jiffies of the host's aggregate /proc/stat line,
+    or None where it cannot be read."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    # user nice system idle iowait irq softirq steal; guest time is
+    # already counted in user.
+    ticks = [int(v) for v in fields[1:9]]
+    return ticks[7], sum(ticks)
+
+
+def steal_share(before, after):
+    """Stolen share of the CPU time between two cpu_ticks() readings."""
+    if before is None or after is None:
+        return None
+    total = after[1] - before[1]
+    return (after[0] - before[0]) / total if total > 0 else 0.0
+
+
 def failed_share(runs):
     attempted = sum(r["attempted"] for r in runs)
     return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
@@ -219,6 +246,11 @@ def row_problems(row):
         if not isinstance(row["failed_share"].get(side), (int, float)) or \
                 not isinstance(row["incorrect_runs"].get(side), int):
             out.append(f"{row['workload']}: no {side} failure counts")
+    steal = row["host"].get("steal_frac")
+    if steal is not None and (not isinstance(steal, (int, float)) or
+                              isinstance(steal, bool) or
+                              not 0 <= steal <= 1):
+        out.append(f"{row['workload']}: host steal_frac {steal!r}")
     if not row["metrics"]:
         out.append(f"{row['workload']}: no metrics")
     for name, m in row["metrics"].items():
@@ -255,6 +287,11 @@ def save(path, rows):
     tmp.replace(path)
 
 
+def steal_note(row):
+    steal = row["host"].get("steal_frac")
+    return "" if steal is None else f"; host steal {100 * steal:.1f}%"
+
+
 def table(rows):
     """The rows as a markdown table."""
     out = ["| workload | metric | parent | change | ratio | wins | "
@@ -271,7 +308,8 @@ def table(rows):
             f"| {row['workload']} | digests equal: "
             f"{str(row['digests_equal']).lower()}; failed share "
             f"{row['failed_share']['parent']:.3f} -> "
-            f"{row['failed_share']['change']:.3f} | | | | | | "
+            f"{row['failed_share']['change']:.3f}"
+            f"{steal_note(row)} | | | | | | "
             f"**{row['verdict']}** |")
     return "\n".join(out)
 
@@ -299,6 +337,7 @@ def measure(args):
         }
         new = []
         for w in bench["workloads"]:
+            ticks = cpu_ticks()
             pairs = []
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 \
@@ -312,7 +351,10 @@ def measure(args):
                           f"{args.pairs} seed {seed} {side}: "
                           f"{ops:.4g} ops/s", file=sys.stderr)
                 pairs.append(pair)
-            new.append(summarise(w["name"], pairs, bench, seeds, context))
+            host = dict(context["host"],
+                        steal_frac=steal_share(ticks, cpu_ticks()))
+            new.append(summarise(w["name"], pairs, bench, seeds,
+                                 dict(context, host=host)))
     save(out, rows + new)
     print(table(new))
     if self_pair and not all(r["digests_equal"] for r in new):
@@ -390,6 +432,18 @@ def self_test():
     expect("synthetic rows are well formed",
            [p for r in (gain, slow, wide, failing) for p in row_problems(r)],
            [])
+    stolen = dict(gain, host={"cpus": 1, "steal_frac": 0.05})
+    expect("steal share accepted", row_problems(stolen), [])
+    expect("unreadable steal accepted",
+           row_problems(dict(gain, host={"cpus": 1, "steal_frac": None})),
+           [])
+    expect("steal share range checked",
+           bool(row_problems(dict(gain, host={"steal_frac": 1.5}))), True)
+    expect("steal share", steal_share((10, 1000), (60, 2000)), 0.05)
+    expect("steal share without ticks", steal_share(None, (1, 2)), None)
+    expect("steal share over no time", steal_share((1, 5), (1, 5)), 0.0)
+    expect("steal in table", "host steal 5.0%" in table([stolen]), True)
+    expect("no steal in old rows", "steal" in table([gain]), False)
     broken = dict(gain, seeds=[1])
     expect("seed count checked", bool(row_problems(broken)), True)
     broken = dict(gain, verdict="maybe")
@@ -397,8 +451,8 @@ def self_test():
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.json"
-        save(path, [gain, slow])
-        expect("round trip", load(path), [gain, slow])
+        save(path, [gain, slow, stolen])
+        expect("round trip", load(path), [gain, slow, stolen])
 
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)

@@ -143,6 +143,10 @@ BAD_FLAG_VALUES = (
     ("--retries", "zz"),
     ("--period", "1e6x"),
     ("--pebs-rate", "64k"),
+    ("--ratio", "-1:2"),
+    ("--ratio", "1:2x"),
+    ("--ratio", "0:0"),
+    ("--tenants", "0"),
 )
 
 

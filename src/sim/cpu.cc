@@ -18,39 +18,32 @@ Cpu::Cpu(const SimConfig &cfg, const Trace &trace, Cache &cache,
 }
 
 /**
- * Accrue TOR occupancy/busy over [c0, c1), during which the per-tier
- * outstanding-miss counts are constant.
+ * Accrue TOR occupancy/busy over [torSince_, t), during which the
+ * per-tier outstanding-miss counts are constant, and start the next
+ * segment at @p t.
  */
 void
-Cpu::accrueTor(Cycles c0, Cycles c1)
+Cpu::accrueTorTo(Cycles t)
 {
-    const Cycles dt = c1 - c0;
-    for (unsigned t = 0; t < NumTiers; t++) {
-        if (const std::uint32_t n = torCount_[t]) {
-            pmu_.torOccupancy[t] += static_cast<std::uint64_t>(n) * dt;
-            pmu_.torBusy[t] += dt;
+    const Cycles dt = t - torSince_;
+    torSince_ = t;
+    for (unsigned i = 0; i < NumTiers; i++) {
+        if (const std::uint32_t n = torCount_[i]) {
+            pmu_.torOccupancy[i] += static_cast<std::uint64_t>(n) * dt;
+            pmu_.torBusy[i] += dt;
         }
     }
 }
 
 void
-Cpu::advanceTo(Cycles c1)
+Cpu::sweepTo(Cycles c1)
 {
-    if (c1 <= cycle_)
-        return;
-    if (missHeap_.empty()) {
-        // Nothing in flight: no boundary can fall inside the window
-        // (a future start always belongs to an outstanding miss).
-        cycle_ = c1;
-        return;
-    }
-
-    // Sweep interval boundaries up to c1 in time order, accruing over
-    // each constant-count segment. Boundaries at exactly c1 flip the
-    // counts for the next window and contribute zero width to this
-    // one. A completion's matching start is strictly earlier (latency
-    // is at least one cycle), so counts never go transiently negative.
-    Cycles pos = cycle_;
+    // Sweep interval boundaries up to c1 in time order, closing the
+    // constant-count segment at each one. Boundaries at exactly c1
+    // flip the counts for the next window. A completion's matching
+    // start is strictly earlier (latency is at least one cycle), so
+    // counts never go transiently negative. The segment open at c1
+    // stays open until the next count change or flush.
     while (true) {
         const Cycles nextStart = pendingStarts_.empty()
                                      ? ~Cycles{0}
@@ -58,12 +51,11 @@ Cpu::advanceTo(Cycles c1)
         const Cycles nextComp =
             missHeap_.empty() ? ~Cycles{0} : missHeap_.front().completion;
         const Cycles t = std::min(nextStart, nextComp);
-        if (t > c1)
+        if (t > c1) {
+            nextEvent_ = t;
             break;
-        if (t > pos) {
-            accrueTor(pos, t);
-            pos = t;
         }
+        accrueTorTo(t);
         if (nextStart <= nextComp) {
             torCount_[pendingStarts_.front().tier]++;
             std::pop_heap(pendingStarts_.begin(), pendingStarts_.end(),
@@ -75,8 +67,6 @@ Cpu::advanceTo(Cycles c1)
             missHeap_.pop_back();
         }
     }
-    if (c1 > pos)
-        accrueTor(pos, c1);
     cycle_ = c1;
 }
 
@@ -92,10 +82,9 @@ Cpu::waitFor(Cycles completion, TierId tier)
 void
 Cpu::addPenalty(Cycles c)
 {
-    if (c == 0)
-        return;
     penaltyCycles_ += c;
     advanceTo(cycle_ + c);
+    flushTor();
 }
 
 void
@@ -105,6 +94,7 @@ Cpu::drainInflight()
     for (const Miss &m : missHeap_)
         maxc = std::max(maxc, m.completion);
     advanceTo(maxc);
+    flushTor();
 }
 
 void
@@ -113,16 +103,19 @@ Cpu::insertMiss(Cycles start, Cycles completion, TierId tier)
     missHeap_.push_back({completion, opIdx_, tier});
     std::push_heap(missHeap_.begin(), missHeap_.end(), missAfter);
     robFifo_.push_back({completion, opIdx_, tier});
+    nextEvent_ = std::min(nextEvent_, completion);
     // start >= cycle_ always (tiers never backdate service). Service
     // beginning right now occupies the TOR immediately; a
     // bandwidth-queued start waits for the sweep to reach it.
     if (start == cycle_) {
+        accrueTorTo(cycle_);
         torCount_[tierIndex(tier)]++;
     } else {
         pendingStarts_.push_back(
             {start, static_cast<std::uint8_t>(tierIndex(tier))});
         std::push_heap(pendingStarts_.begin(), pendingStarts_.end(),
                        startAfter);
+        nextEvent_ = std::min(nextEvent_, start);
     }
 }
 
@@ -161,7 +154,7 @@ Cpu::doAccess(const TraceOp &op)
     if (m.flags & PageFlags::HintArmed) {
         tm_.disarmHint(page);
         pmu_.hintFaults++;
-        addPenalty(cfg_.cpu.hintFaultCycles);
+        addPenalty(cfg_.cpu.hintFaultCycles); // flushes the TOR integral
         if (listener_)
             listener_->onHintFault(page, trace_.proc);
         tier = tm_.tierOf(page); // the fault handler may have migrated
@@ -252,7 +245,6 @@ Cpu::run(Cycles until)
         }
         const TraceOp &op = ops[pos_++];
         opIdx_++;
-        retired_++;
         pmu_.instructions++;
 
         if (const std::uint32_t gap = op.gap()) {
@@ -293,6 +285,7 @@ Cpu::run(Cycles until)
             advanceTo(cycle_ + 1);
         }
     }
+    flushTor();
     return true;
 }
 

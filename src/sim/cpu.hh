@@ -16,12 +16,20 @@
  * outstanding count at its service start (immediately when the tier
  * is idle, via a small future-start heap when bandwidth queuing
  * pushes the start out) and lowers it when the completion-ordered
- * miss heap retires it. Clock advances sweep both heaps once in time
- * order, accruing occupancy (count x dt) and busy (dt while
- * count > 0) over each constant-count segment — O(log mshrs) per
- * miss instead of the O(mshrs^2) per-advance interval clipping it
- * replaces, with bit-identical integrals (and no silent 64-interval
- * union cap, so tor_busy is now exact for mshrs > 64 too).
+ * miss heap retires it. The clock caches the earliest pending
+ * boundary (nextEvent_), so an advance that crosses none is one
+ * compare; only a step that reaches a start or a completion sweeps
+ * the heaps, O(log mshrs) per miss.
+ *
+ * Occupancy is integrated lazily: torSince_ marks the start of the
+ * current constant-count segment, and count x dt (plus dt of busy
+ * while count > 0) is accrued into the Pmu only when a per-tier count
+ * changes or when code outside the Cpu may read the Pmu — every
+ * run() return, addPenalty, drainInflight, and just before a hint
+ * fault's listener call. The integrals are sums over constant-count
+ * segments, so where they are split does not change the uint64
+ * totals: every read point sees the same counters as an eager
+ * per-advance integration.
  */
 
 #ifndef PACT_SIM_CPU_HH
@@ -90,7 +98,7 @@ class Cpu
     }
 
     /** Ops retired so far. */
-    std::uint64_t retired() const { return retired_; }
+    std::uint64_t retired() const { return opIdx_; }
 
     /** Cycles charged as migration/fault penalties. */
     Cycles penaltyCycles() const { return penaltyCycles_; }
@@ -134,8 +142,22 @@ class Cpu
 
     void doAccess(const TraceOp &op);
     void waitFor(Cycles completion, TierId tier);
-    void advanceTo(Cycles c1);
-    void accrueTor(Cycles c0, Cycles c1);
+
+    /** Move the clock to @p c1 (>= cycle_); sweeps the heaps only
+     *  when a TOR start or completion lies at or before @p c1. */
+    void
+    advanceTo(Cycles c1)
+    {
+        if (c1 < nextEvent_) {
+            cycle_ = c1;
+            return;
+        }
+        sweepTo(c1);
+    }
+
+    void sweepTo(Cycles c1);
+    void accrueTorTo(Cycles t);
+    void flushTor() { accrueTorTo(cycle_); }
     void insertMiss(Cycles start, Cycles completion, TierId tier);
 
     const SimConfig &cfg_;
@@ -152,8 +174,8 @@ class Cpu
 
     Cycles cycle_ = 0;
     std::size_t pos_ = 0;
+    /** Ops retired so far; also each miss's program-order index. */
     std::uint64_t opIdx_ = 0;
-    std::uint64_t retired_ = 0;
     unsigned retireCredit_ = 0;
     bool done_ = false;
     Cycles finishCycle_ = 0;
@@ -172,6 +194,12 @@ class Cpu
     /** Misses currently occupying the TOR, per tier (between the
      *  already-swept start and completion boundaries). */
     std::array<std::uint32_t, NumTiers> torCount_ = {0, 0};
+    /** Start of the constant-count segment not yet accrued into the
+     *  Pmu (<= cycle_). */
+    Cycles torSince_ = 0;
+    /** Earliest pending boundary: the front of pendingStarts_ or of
+     *  missHeap_, ~0 when neither holds one (always > cycle_). */
+    Cycles nextEvent_ = ~Cycles{0};
 
     bool lastLoadValid_ = false;
     Cycles lastLoadCompletion_ = 0;

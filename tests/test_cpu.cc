@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "common/rng.hh"
 #include "mem/addr_space.hh"
 #include "sim/cpu.hh"
 
@@ -138,13 +141,33 @@ TEST(Cpu, TorBusyExactAboveSixtyFourMshrs)
     // cycles/line with 418-cycle latency occupy [100*i, 100*i + 418):
     // consecutive intervals overlap (418 > 100), so the union is one
     // contiguous span [0, 100*95 + 418) and every counter is exact.
+    // Compute after the misses keeps the core running while they
+    // complete, and the integrals must be exact up to the clock at
+    // every run() return, wherever a random slice ends.
     CpuHarness h;
     h.cfg.cpu.mshrs = 96;
     h.cfg.slow.serviceCycles = 100.0;
     h.slow = std::make_unique<Tier>(TierId::Slow, h.cfg.slow);
     for (int i = 0; i < 96; i++)
         h.trace.load(h.base + static_cast<Addr>(i) * 8 * LineBytes);
-    h.runAll();
+    for (int i = 0; i < 400; i++)
+        h.trace.compute(37);
+    Cpu &c = h.cpu();
+    Rng rng(3);
+    bool more = true;
+    while (more) {
+        more = c.run(c.cycle() + rng.range(1, 300));
+        const Cycles f = c.cycle();
+        std::uint64_t occ = 0;
+        for (Cycles i = 0; i < 96; i++) {
+            const Cycles start = 100 * i;
+            if (f > start)
+                occ += std::min(f, start + SlowLat) - start;
+        }
+        ASSERT_EQ(h.pmu.torOccupancy[1], occ) << "at cycle " << f;
+        ASSERT_EQ(h.pmu.torBusy[1], std::min(f, 100 * 95 + SlowLat))
+            << "at cycle " << f;
+    }
     EXPECT_EQ(h.pmu.llcMisses[1], 96u);
     EXPECT_EQ(h.pmu.torOccupancy[1], 96u * SlowLat);
     EXPECT_EQ(h.pmu.torBusy[1], 100u * 95 + SlowLat);
@@ -366,4 +389,176 @@ TEST(Cpu, LoopingTraceRestarts)
     EXPECT_TRUE(c.run(100000));
     EXPECT_FALSE(c.done());
     EXPECT_GT(c.retired(), 10u);
+}
+
+namespace
+{
+
+/** Every Pmu counter, in field-table order. */
+std::vector<std::uint64_t>
+pmuCounters(Pmu &p)
+{
+    std::vector<std::uint64_t> v;
+    forEachPmuCounter([&](PmuCounter c) { v.push_back(c.of(p)); });
+    return v;
+}
+
+/** A seeded mix of loads (some dependent), stores, gaps, short
+ *  compute and wide BigGap compute over @p h's buffer. */
+void
+randomTrace(CpuHarness &h, std::uint64_t seed, std::uint64_t lines)
+{
+    Rng rng(seed);
+    for (int i = 0; i < 1500; i++) {
+        const Addr a = h.base + rng.below(lines) * LineBytes;
+        const auto gap = static_cast<std::uint32_t>(
+            rng.chance(0.5) ? 0 : rng.range(1, 40));
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 55)
+            h.trace.load(a, rng.chance(0.3), gap);
+        else if (kind < 90)
+            h.trace.store(a, gap);
+        else if (kind < 97)
+            h.trace.compute(static_cast<std::uint32_t>(rng.range(1, 50)));
+        else
+            h.trace.compute(
+                static_cast<std::uint32_t>(rng.range(5000, 20000)));
+    }
+}
+
+/**
+ * Run one trace on two identical cores: A advanced one clock step per
+ * call (every op that moves the clock ends a run()), B in random
+ * slices, with the same penalties charged to both at the same op. A's
+ * counters are read after a zero addPenalty, B's straight after run()
+ * returns, so the two flush points check each other. After every
+ * return of B the two must agree on every counter, the clock and the
+ * retired count, and no TOR counter of B may have grown faster than
+ * time allows since its previous read: a read that missed part of
+ * the integral shows up as a catch-up at the next one.
+ */
+void
+checkSliceInvariant(unsigned mshrs, unsigned robOps, double slowService)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "mshrs=" << mshrs << " robOps=" << robOps
+                 << " slowService=" << slowService);
+    // 1 MB footprint, half of it fits the fast tier: first touches
+    // in random order split the pages across both tiers.
+    constexpr std::uint64_t FastPages = 128;
+    CpuHarness a(FastPages, 1), b(FastPages, 1);
+    for (CpuHarness *h : {&a, &b}) {
+        h->cfg.cpu.mshrs = mshrs;
+        h->cfg.cpu.robOps = robOps;
+        h->cfg.slow.serviceCycles = slowService;
+        h->slow = std::make_unique<Tier>(TierId::Slow, h->cfg.slow);
+        randomTrace(*h, 42, (1u << 20) / LineBytes);
+    }
+    Cpu &ca = a.cpu();
+    Cpu &cb = b.cpu();
+    Pmu last = b.pmu;
+    Cycles lastCycle = 0;
+    auto check = [&](const char *where) {
+        ASSERT_EQ(ca.retired(), cb.retired()) << where;
+        ASSERT_EQ(ca.cycle(), cb.cycle()) << where;
+        ASSERT_EQ(pmuCounters(a.pmu), pmuCounters(b.pmu))
+            << where << " at op " << cb.retired();
+        const Cycles dt = cb.cycle() - lastCycle;
+        for (unsigned t = 0; t < NumTiers; t++) {
+            const std::uint64_t busy = b.pmu.torBusy[t] - last.torBusy[t];
+            const std::uint64_t occ =
+                b.pmu.torOccupancy[t] - last.torOccupancy[t];
+            ASSERT_LE(busy, dt) << where << " at op " << cb.retired();
+            ASSERT_LE(busy, occ) << where << " at op " << cb.retired();
+            ASSERT_LE(occ, mshrs * dt) << where << " at op "
+                                       << cb.retired();
+        }
+        last = b.pmu;
+        lastCycle = cb.cycle();
+    };
+    Rng rng(7);
+    bool more = true;
+    while (more) {
+        const Cycles len = rng.chance(0.3) ? 1 : rng.range(1, 3000);
+        more = cb.run(cb.cycle() + len);
+        // B stopped right after an op that moved the clock, which is
+        // where A's one-step calls stop too.
+        while (ca.retired() < cb.retired() && ca.run(ca.cycle() + 1)) {
+        }
+        if (!more) {
+            while (ca.run(ca.cycle() + 1)) {
+            }
+        }
+        ca.addPenalty(0);
+        check("after run");
+        if (more && rng.chance(0.1)) {
+            const Cycles p = rng.range(0, 600);
+            ca.addPenalty(p);
+            cb.addPenalty(p);
+            check("after a penalty");
+        }
+    }
+    EXPECT_TRUE(ca.done() && cb.done());
+    EXPECT_GT(a.pmu.llcMisses[0], 0u);
+    EXPECT_GT(a.pmu.llcMisses[1], 0u);
+}
+
+} // namespace
+
+TEST(Cpu, TorCountersSliceInvariant)
+{
+    // The default slow tier starts most misses on arrival; a
+    // 100-cycle service interval queues them, so TOR starts land in
+    // the future-start heap.
+    const double defaultService = SimConfig{}.slow.serviceCycles;
+    for (const double service : {defaultService, 100.0}) {
+        for (const unsigned mshrs : {1u, 4u, 16u}) {
+            for (const unsigned robOps : {1u, 8u, 192u})
+                checkSliceInvariant(mshrs, robOps, service);
+        }
+    }
+}
+
+namespace
+{
+
+/** Copies the PMU at each hint fault. */
+struct PmuAtFault : AccessListener
+{
+    explicit PmuAtFault(const Pmu &p) : pmu(p) {}
+    void
+    onHintFault(PageId, ProcId) override
+    {
+        seen.push_back(pmu);
+    }
+    const Pmu &pmu;
+    std::vector<Pmu> seen;
+};
+
+} // namespace
+
+TEST(Cpu, TorExactInsideHintFault)
+{
+    // A slow miss issues at cycle 0 and completes at SlowLat. The next
+    // op computes 100 cycles, then traps on an armed page for 50: the
+    // listener runs at cycle 150 with the miss still in flight and
+    // must read its occupancy up to that cycle.
+    CpuHarness h;
+    h.cfg.cpu.hintFaultCycles = 50;
+    const Addr armed = h.base + 2 * PageBytes;
+    h.trace.load(h.base);
+    h.trace.load(armed, false, 100);
+    PmuAtFault rec(h.pmu);
+    h.cpu(&rec);
+    h.tm->touch(pageOf(h.base), 0, false);
+    h.tm->touch(pageOf(armed), 0, false);
+    h.tm->meta(pageOf(armed)).flags |= PageFlags::HintArmed;
+    h.runAll();
+    ASSERT_EQ(rec.seen.size(), 1u);
+    const Pmu &at = rec.seen[0];
+    EXPECT_EQ(at.llcMisses[1], 1u);
+    EXPECT_EQ(at.torOccupancy[1], 150u);
+    EXPECT_EQ(at.torBusy[1], 150u);
+    EXPECT_EQ(at.torOccupancy[0], 0u);
+    EXPECT_EQ(at.torBusy[0], 0u);
 }
