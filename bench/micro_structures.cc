@@ -323,8 +323,9 @@ BENCHMARK(BM_HintArm)
  * The per-op CPU loop in isolation (no daemon, no migrations): a
  * looping trace of independent loads with compute gaps drives the
  * retire/advance machinery (a one-compare clock step between TOR
- * boundaries, the heap sweep and lazy TOR accrual at them) and the
- * fused page-meta resolve.
+ * boundaries, the sweep over the per-tier miss rings' fronts and lazy
+ * TOR accrual at them) and the fused page-meta resolve. Its 2048 pages
+ * over a 1024-page fast tier keep misses in flight on both tiers.
  */
 static void
 BM_CpuAdvance(benchmark::State &state)

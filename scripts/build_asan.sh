@@ -30,4 +30,4 @@ cmake -B "$build" -S "$repo" -DPACT_SANITIZE=address
 # at once and measured no faster.
 cmake --build "$build" -j "$(nproc)" --target test_robustness test_txn test_pool \
     test_trace_store test_multicore test_cache test_tier_manager \
-    test_harness test_pac_table
+    test_harness test_pac_table test_cpu

@@ -57,6 +57,12 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     "$build/tests/test_pac_table"
 
+# The core keeps each tier's outstanding misses in a power-of-two ring
+# indexed by free-running cursors masked to the slot array; the CPU
+# tests drive full MSHR and ROB waits, queued starts and both tiers.
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    "$build/tests/test_cpu"
+
 # Multi-tenant engine with 4 tenants on shared tiers: per-tenant
 # PEBS/PMU/daemon state plus the flat core array is exactly the kind
 # of ownership split where a stale reference would hide.

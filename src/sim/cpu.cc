@@ -1,6 +1,9 @@
 #include "sim/cpu.hh"
 
 #include <algorithm>
+#include <bit>
+
+#include "common/logging.hh"
 
 namespace pact
 {
@@ -13,8 +16,13 @@ Cpu::Cpu(const SimConfig &cfg, const Trace &trace, Cache &cache,
       lru_(lru), pmu_(pmu), pebs_(pebs), huge_(huge), listener_(listener),
       chmu_(chmu)
 {
-    missHeap_.reserve(cfg.cpu.mshrs + 1);
-    pendingStarts_.reserve(cfg.cpu.mshrs + 1);
+    // At most mshrs misses are outstanding, and all of them lie within
+    // the last robOps ops.
+    const std::size_t cap = std::bit_ceil(
+        std::size_t{std::min(cfg.cpu.mshrs, cfg.cpu.robOps)});
+    ringMask_ = cap - 1;
+    for (MissRing &r : rings_)
+        r.slots.assign(cap, Miss{0, 0, 0});
 }
 
 /**
@@ -28,8 +36,8 @@ Cpu::accrueTorTo(Cycles t)
     const Cycles dt = t - torSince_;
     torSince_ = t;
     for (unsigned i = 0; i < NumTiers; i++) {
-        if (const std::uint32_t n = torCount_[i]) {
-            pmu_.torOccupancy[i] += static_cast<std::uint64_t>(n) * dt;
+        if (const std::uint64_t n = rings_[i].started - rings_[i].head) {
+            pmu_.torOccupancy[i] += n * dt;
             pmu_.torBusy[i] += dt;
         }
     }
@@ -45,27 +53,30 @@ Cpu::sweepTo(Cycles c1)
     // counts never go transiently negative. The segment open at c1
     // stays open until the next count change or flush.
     while (true) {
-        const Cycles nextStart = pendingStarts_.empty()
-                                     ? ~Cycles{0}
-                                     : pendingStarts_.front().time;
-        const Cycles nextComp =
-            missHeap_.empty() ? ~Cycles{0} : missHeap_.front().completion;
+        Cycles nextStart = ~Cycles{0}, nextComp = ~Cycles{0};
+        MissRing *startRing = nullptr, *compRing = nullptr;
+        for (MissRing &r : rings_) {
+            if (r.started != r.tail &&
+                slot(r, r.started).start < nextStart) {
+                nextStart = slot(r, r.started).start;
+                startRing = &r;
+            }
+            if (r.head != r.tail &&
+                slot(r, r.head).completion < nextComp) {
+                nextComp = slot(r, r.head).completion;
+                compRing = &r;
+            }
+        }
         const Cycles t = std::min(nextStart, nextComp);
         if (t > c1) {
             nextEvent_ = t;
             break;
         }
         accrueTorTo(t);
-        if (nextStart <= nextComp) {
-            torCount_[pendingStarts_.front().tier]++;
-            std::pop_heap(pendingStarts_.begin(), pendingStarts_.end(),
-                          startAfter);
-            pendingStarts_.pop_back();
-        } else {
-            torCount_[tierIndex(missHeap_.front().tier)]--;
-            std::pop_heap(missHeap_.begin(), missHeap_.end(), missAfter);
-            missHeap_.pop_back();
-        }
+        if (nextStart <= nextComp)
+            startRing->started++;
+        else
+            compRing->head++;
     }
     cycle_ = c1;
 }
@@ -91,8 +102,10 @@ void
 Cpu::drainInflight()
 {
     Cycles maxc = cycle_;
-    for (const Miss &m : missHeap_)
-        maxc = std::max(maxc, m.completion);
+    for (const MissRing &r : rings_) {
+        if (r.head != r.tail)
+            maxc = std::max(maxc, slot(r, r.tail - 1).completion);
+    }
     advanceTo(maxc);
     flushTor();
 }
@@ -100,21 +113,28 @@ Cpu::drainInflight()
 void
 Cpu::insertMiss(Cycles start, Cycles completion, TierId tier)
 {
-    missHeap_.push_back({completion, opIdx_, tier});
-    std::push_heap(missHeap_.begin(), missHeap_.end(), missAfter);
-    robFifo_.push_back({completion, opIdx_, tier});
+    MissRing &r = rings_[tierIndex(tier)];
+    // The ring's order is start and completion order only while a
+    // tier never serves a later miss earlier. The slot behind tail
+    // holds the tier's newest miss (zeros before the first), popped
+    // or not.
+    const Miss &last = slot(r, r.tail - 1);
+    panic_if(start < last.start || completion < last.completion,
+             "tier ", tierIndex(tier), " serves op ", opIdx_, " over [",
+             start, ", ", completion, "), before op ", last.opIdx,
+             " over [", last.start, ", ", last.completion,
+             "): misses must start and complete in issue order");
+    r.slots[r.tail++ & ringMask_] = {start, completion, opIdx_};
     nextEvent_ = std::min(nextEvent_, completion);
     // start >= cycle_ always (tiers never backdate service). Service
-    // beginning right now occupies the TOR immediately; a
-    // bandwidth-queued start waits for the sweep to reach it.
+    // beginning right now occupies the TOR immediately; no earlier
+    // miss of the tier can still be waiting, since its start would be
+    // later than this one. A bandwidth-queued start waits for the
+    // sweep to reach it.
     if (start == cycle_) {
         accrueTorTo(cycle_);
-        torCount_[tierIndex(tier)]++;
+        r.started = r.tail;
     } else {
-        pendingStarts_.push_back(
-            {start, static_cast<std::uint8_t>(tierIndex(tier))});
-        std::push_heap(pendingStarts_.begin(), pendingStarts_.end(),
-                       startAfter);
         nextEvent_ = std::min(nextEvent_, start);
     }
 }
@@ -190,22 +210,32 @@ Cpu::doAccess(const TraceOp &op)
         return;
     }
 
-    // Structural hazards: MSHRs, then ROB headroom.
-    while (missHeap_.size() >= cfg_.cpu.mshrs) {
-        const Miss next = missHeap_.front(); // earliest completion
-        waitFor(next.completion, next.tier); // ...which retires it
+    // Structural hazards: MSHRs, then ROB headroom. Every queued miss
+    // is incomplete (each clock move sweeps the completions it
+    // reaches), so waiting on a ring head retires it.
+    const MissRing &fr = rings_[tierIndex(TierId::Fast)];
+    const MissRing &sr = rings_[tierIndex(TierId::Slow)];
+    while ((fr.tail - fr.head) + (sr.tail - sr.head) >= cfg_.cpu.mshrs) {
+        // The earlier (completion, opIdx) of the two heads.
+        const Miss &a = slot(fr, fr.head), &b = slot(sr, sr.head);
+        const bool slow =
+            fr.head == fr.tail ||
+            (sr.head != sr.tail && (b.completion != a.completion
+                                        ? b.completion < a.completion
+                                        : b.opIdx < a.opIdx));
+        waitFor(slow ? b.completion : a.completion,
+                slow ? TierId::Slow : TierId::Fast);
     }
-    while (!robFifo_.empty()) {
-        if (robFifo_.front().completion <= cycle_) {
-            robFifo_.pop_front(); // already retired, frees headroom
-            continue;
-        }
-        const Miss oldest = robFifo_.front();
+    while (fr.head != fr.tail || sr.head != sr.tail) {
+        // The oldest incomplete miss in program order.
+        const Miss &a = slot(fr, fr.head), &b = slot(sr, sr.head);
+        const bool slow =
+            fr.head == fr.tail || (sr.head != sr.tail && b.opIdx < a.opIdx);
+        const Miss &oldest = slow ? b : a;
         if (opIdx_ - oldest.opIdx <
             static_cast<std::uint64_t>(cfg_.cpu.robOps))
             break;
-        waitFor(oldest.completion, oldest.tier);
-        robFifo_.pop_front();
+        waitFor(oldest.completion, slow ? TierId::Slow : TierId::Fast);
     }
 
     const TierAccess acc = tiers_[tierIndex(tier)]->access(cycle_);

@@ -12,14 +12,22 @@
  * Equation 1 models. TOR occupancy counters (T1/T2) are integrated
  * cycle-exactly over the outstanding-miss set, per tier.
  *
- * The accounting is event-driven: a miss raises the per-tier
- * outstanding count at its service start (immediately when the tier
- * is idle, via a small future-start heap when bandwidth queuing
- * pushes the start out) and lowers it when the completion-ordered
- * miss heap retires it. The clock caches the earliest pending
- * boundary (nextEvent_), so an advance that crosses none is one
- * compare; only a step that reaches a start or a completion sweeps
- * the heaps, O(log mshrs) per miss.
+ * The outstanding misses live in one FIFO ring per tier, in program
+ * order. For one core a tier's service starts never decrease in issue
+ * order (the core's clock and the tier's bandwidth cursor only move
+ * forward) and its latency is a constant, so issue order is also start
+ * order and completion order: each ring is already sorted by both and
+ * every pick is a ring front. Three cursors split a ring: [head,
+ * started) occupies the TOR, [started, tail) waits for a
+ * bandwidth-queued start. The sweep moves `started` past starts and
+ * `head` past completions in time order, so a tier's TOR count is
+ * started - head. The MSHR hazard waits on the ring head with the
+ * earlier (completion, opIdx), the ROB hazard on the head with the
+ * lower opIdx; every queued miss is still incomplete, because each
+ * clock move sweeps the completions it reaches. The clock caches the
+ * earliest pending boundary (nextEvent_), so an advance that crosses
+ * none is one compare; only a step that reaches a start or a
+ * completion reads the ring fronts.
  *
  * Occupancy is integrated lazily: torSince_ marks the start of the
  * current constant-count segment, and count x dt (plus dt of busy
@@ -37,7 +45,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
@@ -106,44 +113,42 @@ class Cpu
     /** Owning simulated process of the replayed trace. */
     ProcId proc() const { return trace_.proc; }
 
+  private:
     /** An outstanding LLC miss. */
     struct Miss
     {
+        Cycles start;
         Cycles completion;
         std::uint64_t opIdx;
-        TierId tier;
     };
 
-    /** A queued miss whose TOR occupancy starts in the future. */
-    struct PendingStart
+    /**
+     * One tier's outstanding misses in program order, which is also
+     * start and completion order. Cursors count up without bound and
+     * index slots modulo the power-of-two capacity.
+     */
+    struct MissRing
     {
-        Cycles time;
-        std::uint8_t tier;
+        std::vector<Miss> slots;
+        /** Oldest incomplete miss. */
+        std::uint64_t head = 0;
+        /** First miss whose TOR occupancy has not started yet. */
+        std::uint64_t started = 0;
+        /** One past the newest miss. */
+        std::uint64_t tail = 0;
     };
-
-  private:
-    /** Min-heap order on start time (ties are order-insensitive:
-     *  equal-time segments have zero width). */
-    static bool
-    startAfter(const PendingStart &a, const PendingStart &b)
-    {
-        return a.time > b.time;
-    }
-
-    /** Min-heap order on (completion, opIdx): the opIdx tie-break
-     *  reproduces the first-of-equal-completions insertion-order pick
-     *  the linear-scan MSHR stall attribution made. */
-    static bool
-    missAfter(const Miss &a, const Miss &b)
-    {
-        return a.completion != b.completion ? a.completion > b.completion
-                                            : a.opIdx > b.opIdx;
-    }
 
     void doAccess(const TraceOp &op);
     void waitFor(Cycles completion, TierId tier);
 
-    /** Move the clock to @p c1 (>= cycle_); sweeps the heaps only
+    /** @p r's miss at cursor @p i. */
+    const Miss &
+    slot(const MissRing &r, std::uint64_t i) const
+    {
+        return r.slots[i & ringMask_];
+    }
+
+    /** Move the clock to @p c1 (>= cycle_); reads the rings only
      *  when a TOR start or completion lies at or before @p c1. */
     void
     advanceTo(Cycles c1)
@@ -181,24 +186,18 @@ class Cpu
     Cycles finishCycle_ = 0;
     Cycles penaltyCycles_ = 0;
 
-    /** Outstanding misses as a min-heap by (completion, opIdx);
-     *  retiring one also ends its TOR occupancy interval. */
-    std::vector<Miss> missHeap_;
-    /** Outstanding misses in program order; completed fronts are
-     *  popped lazily at the ROB-headroom check. */
-    std::deque<Miss> robFifo_;
-    /** Future TOR interval starts, min-heap by time (only used when
-     *  tier bandwidth queuing delays service past the current cycle,
-     *  otherwise the start raises torCount_ directly at insert). */
-    std::vector<PendingStart> pendingStarts_;
-    /** Misses currently occupying the TOR, per tier (between the
-     *  already-swept start and completion boundaries). */
-    std::array<std::uint32_t, NumTiers> torCount_ = {0, 0};
+    /** Outstanding misses, one ring per tier. */
+    std::array<MissRing, NumTiers> rings_;
+    /** Ring capacity - 1 (the capacity is a power of two no smaller
+     *  than the most misses the MSHR and ROB hazards let be
+     *  outstanding). */
+    std::uint64_t ringMask_;
     /** Start of the constant-count segment not yet accrued into the
      *  Pmu (<= cycle_). */
     Cycles torSince_ = 0;
-    /** Earliest pending boundary: the front of pendingStarts_ or of
-     *  missHeap_, ~0 when neither holds one (always > cycle_). */
+    /** Earliest pending boundary: a ring's first unstarted start or
+     *  its head's completion, ~0 when no miss is outstanding (always
+     *  > cycle_). */
     Cycles nextEvent_ = ~Cycles{0};
 
     bool lastLoadValid_ = false;

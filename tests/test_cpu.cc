@@ -562,3 +562,146 @@ TEST(Cpu, TorExactInsideHintFault)
     EXPECT_EQ(at.torOccupancy[0], 0u);
     EXPECT_EQ(at.torBusy[0], 0u);
 }
+
+namespace
+{
+
+/**
+ * A harness whose page 0 is fast and page 1 slow, with bandwidth
+ * queuing switched off on the fast tier and set to @p slowService
+ * cycles per line on the slow one, so every miss's service interval
+ * can be computed by hand.
+ */
+struct TwoTierHarness : CpuHarness
+{
+    explicit TwoTierHarness(double slowService = 0.0) : CpuHarness(1)
+    {
+        cfg.fast.serviceCycles = 0.0;
+        cfg.slow.serviceCycles = slowService;
+        fast = std::make_unique<Tier>(TierId::Fast, cfg.fast);
+        slow = std::make_unique<Tier>(TierId::Slow, cfg.slow);
+        tm->touch(pageOf(fastLine(0)), 0, false);
+        tm->touch(pageOf(slowLine(0)), 0, false);
+    }
+
+    /** The @p i-th distinct line of the fast page. */
+    Addr fastLine(unsigned i) const { return base + i * LineBytes; }
+
+    /** The @p i-th distinct line of the slow page. */
+    Addr
+    slowLine(unsigned i) const
+    {
+        return base + PageBytes + i * LineBytes;
+    }
+
+    Cycles fastLat() const { return cfg.fast.latencyCycles; }
+    Cycles slowLat() const { return cfg.slow.latencyCycles; }
+};
+
+} // namespace
+
+TEST(Cpu, MshrWaitTakesEarliestCompletionAcrossTiers)
+{
+    {
+        // Two MSHRs: a slow miss, then a fast one, both at cycle 0.
+        // The third miss waits for the fast one, which completes first
+        // although it issued second.
+        TwoTierHarness h;
+        h.cfg.cpu.mshrs = 2;
+        ASSERT_EQ(h.tm->tierOf(pageOf(h.fastLine(0))), TierId::Fast);
+        ASSERT_EQ(h.tm->tierOf(pageOf(h.slowLine(0))), TierId::Slow);
+        h.trace.load(h.slowLine(0));
+        h.trace.load(h.fastLine(0));
+        h.trace.load(h.fastLine(1));
+        h.runAll();
+        EXPECT_EQ(h.pmu.stallCycles[0], h.fastLat());
+        EXPECT_EQ(h.pmu.stallCycles[1], 0u);
+        EXPECT_EQ(h.cpu_->cycle(), h.slowLat());
+    }
+    {
+        // The fast miss issues slowLat - fastLat cycles after the slow
+        // one, so both complete at slowLat: the tie goes to the lower
+        // opIdx, the slow miss.
+        TwoTierHarness h;
+        h.cfg.cpu.mshrs = 2;
+        const Cycles spacing = h.slowLat() - h.fastLat();
+        h.trace.load(h.slowLine(0));
+        h.trace.load(h.fastLine(0), false,
+                     static_cast<std::uint32_t>(spacing));
+        h.trace.load(h.fastLine(1));
+        h.runAll();
+        EXPECT_EQ(h.pmu.stallCycles[0], 0u);
+        EXPECT_EQ(h.pmu.stallCycles[1], h.fastLat());
+        EXPECT_EQ(h.pmu.llcMisses[0], 2u);
+        EXPECT_EQ(h.pmu.llcMisses[1], 1u);
+    }
+}
+
+TEST(Cpu, RobWaitsOnOldestMissInProgramOrder)
+{
+    // A three-op ROB: a slow miss, then two fast misses that complete
+    // earlier. The fourth op has no headroom and must wait on the
+    // oldest incomplete miss in program order, the slow one, whose
+    // completion also retires both fast misses.
+    TwoTierHarness h;
+    h.cfg.cpu.robOps = 3;
+    h.trace.load(h.slowLine(0));
+    h.trace.load(h.fastLine(0));
+    h.trace.load(h.fastLine(1));
+    h.trace.load(h.fastLine(2));
+    h.runAll();
+    EXPECT_EQ(h.pmu.stallCycles[0], 0u);
+    EXPECT_EQ(h.pmu.stallCycles[1], h.slowLat());
+    EXPECT_EQ(h.pmu.llcMisses[0], 3u);
+    EXPECT_EQ(h.pmu.llcMisses[1], 1u);
+}
+
+TEST(Cpu, QueuedStartsOccupyTorInIssueOrder)
+{
+    // Eight slow and eight fast misses, interleaved, issued over the
+    // first four cycles (the retire width floors the clock one cycle
+    // per four ops). The slow tier serves one line per 100 cycles, so
+    // slow miss j waits for a start at 100 j and occupies
+    // [100 j, 100 j + slowLat); fast miss j starts on issue, at
+    // cycle (2 j + 1) / 4. Compute after the misses keeps the clock
+    // moving while they complete, and both tiers' TOR integrals must
+    // match the hand-computed intervals at every run() return.
+    TwoTierHarness h(100.0);
+    std::array<std::vector<std::pair<Cycles, Cycles>>, NumTiers> spans;
+    for (unsigned j = 0; j < 8; j++) {
+        h.trace.load(h.slowLine(j));
+        h.trace.load(h.fastLine(j));
+        spans[1].emplace_back(100 * j, 100 * j + h.slowLat());
+        const Cycles issue = (2 * j + 1) / 4;
+        spans[0].emplace_back(issue, issue + h.fastLat());
+    }
+    for (int i = 0; i < 100; i++)
+        h.trace.compute(37);
+    Cpu &c = h.cpu();
+    Rng rng(5);
+    bool more = true;
+    while (more) {
+        more = c.run(c.cycle() + rng.range(1, 150));
+        const Cycles f = c.cycle();
+        for (unsigned t = 0; t < NumTiers; t++) {
+            std::uint64_t occ = 0, busy = 0;
+            for (Cycles at = 0; at < f; at++) {
+                const auto n = std::count_if(
+                    spans[t].begin(), spans[t].end(), [&](const auto &s) {
+                        return s.first <= at && at < s.second;
+                    });
+                occ += static_cast<std::uint64_t>(n);
+                busy += n > 0;
+            }
+            ASSERT_EQ(h.pmu.torOccupancy[t], occ)
+                << "tier " << t << " at cycle " << f;
+            ASSERT_EQ(h.pmu.torBusy[t], busy)
+                << "tier " << t << " at cycle " << f;
+        }
+    }
+    EXPECT_EQ(h.pmu.llcMisses[0], 8u);
+    EXPECT_EQ(h.pmu.llcMisses[1], 8u);
+    EXPECT_EQ(h.pmu.torOccupancy[1], 8 * h.slowLat());
+    EXPECT_EQ(h.pmu.torBusy[1], 700 + h.slowLat());
+    EXPECT_EQ(h.pmu.stallCycles[0] + h.pmu.stallCycles[1], 0u);
+}
